@@ -6,7 +6,7 @@ package dpstore
 // allocation-budget gate parses BenchmarkHotPathRemoteReadBatch with
 // -benchmem and fails the build if allocs/op regresses past the budget
 // (see .github/workflows/ci.yml); numbers are recorded in EXPERIMENTS.md
-// §HotPath and the BENCH_hotpath.json series.
+// §HotPath.
 //
 // The Remote benchmarks measure a full round trip — client encode, frame
 // write, server decode, Mem batch, server encode, client decode — so every

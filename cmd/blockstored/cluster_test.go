@@ -94,7 +94,13 @@ func TestClusterKillAndRejoin(t *testing.T) {
 		if q%3 != 0 {
 			v := block.New(bs)
 			copy(v, fmt.Sprintf("q-%05d", q))
-			if err := cl.Upload(a, v); err != nil {
+			// A Remote posts its writes: only the flush makes this one
+			// acknowledged, and only acknowledged writes enter the shadow.
+			err := cl.Upload(a, v)
+			if err == nil {
+				err = cl.Flush()
+			}
+			if err != nil {
 				t.Fatalf("write %d (replica killed mid-load): %v", q, err)
 			}
 			shadow[a] = v

@@ -449,14 +449,20 @@ func TestDurableBlockNamespacesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch1 := rs.Epoch()
-	rs.Close()
+	// The upload was posted; Close flushes, and only its nil makes the
+	// write acknowledged (and so owed back after the SIGKILL).
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// Tenant namespace (created through the factory, persisted).
 	tn := dialNamespaceOrFatal(t, addr, "tenant-x", 32, 16)
 	tenVal := block.Block(bytes.Repeat([]byte{0xCD}, 16))
 	if err := tn.Upload(3, tenVal); err != nil {
 		t.Fatal(err)
 	}
-	tn.Close()
+	if err := tn.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := daemon.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)

@@ -31,9 +31,9 @@ import (
 	"dpstore/internal/workload"
 )
 
-// loadRow is one trajectory data point in the BENCH_load.json series —
-// the same envelope as BENCH_hotpath.json (name/cpus/iterations/ns_per_op)
-// plus the open-loop rates and quantiles.
+// loadRow is one trajectory data point in the BENCH_load.json series: the
+// go-bench envelope (name/cpus/iterations/ns_per_op) plus the open-loop
+// rates and quantiles.
 type loadRow struct {
 	Name           string  `json:"name"`
 	Cpus           int     `json:"cpus"`

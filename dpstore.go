@@ -233,7 +233,12 @@ func NewShardedMemServer(n, blockSize, k int) (*ShardedServer, error) {
 // NewCountingServer wraps a Server with an operation meter.
 func NewCountingServer(inner Server) *CountingServer { return store.NewCounting(inner) }
 
-// DialServer connects to a remote block server (cmd/blockstored).
+// DialServer connects to a remote block server (cmd/blockstored). The
+// connection posts its writes: Upload/WriteBatch return once the frame is
+// queued, later calls on the same connection observe it, and Flush (or
+// Close) is the barrier that confirms the server applied it — see
+// store.Remote. DialServerPool's writes are acknowledged before they
+// return.
 func DialServer(addr string) (*RemoteServer, error) { return store.Dial(addr) }
 
 // DialServerNamespace connects to a multi-tenant block server and opens

@@ -62,7 +62,13 @@ type SchemeCost struct {
 	Name string
 	// BlocksMoved is the client↔server transfer volume per query, in blocks.
 	BlocksMoved float64
-	// RoundTrips is the number of serialized network round trips per query.
+	// RoundTrips is the number of AWAITED round trips per query: exchanges
+	// whose response the client must have before it can continue, each of
+	// which costs one RTT. A posted write (store.Remote) is an exchange but
+	// not an awaited one — its frame rides in the next request's flight and
+	// its ack is collected with that request's response — so DP-RAM and
+	// non-recursive Path ORAM make 2 exchanges per query and await 1, the
+	// plaintext access's number.
 	RoundTrips float64
 	// ServerBlocksTouched is the number of blocks the server must process
 	// per query (≥ BlocksMoved for PIR-style schemes that compute over the

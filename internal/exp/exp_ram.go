@@ -40,9 +40,9 @@ func runE5(cfg Config) ([]*Table, error) {
 	src := rng.New(cfg.Seed)
 	t := &Table{
 		Title: "E5 — DP-RAM (Algorithms 2–3): exact per-query cost and stash behaviour",
-		Note: "Theorem 6.1: 3 blocks and 2 round trips per query at every n; " +
+		Note: "Theorem 6.1: 3 blocks in 2 exchanges per query at every n, 1 of them awaited (the upload is posted); " +
 			"Lemma D.1: stash stays O(Φ(n)) w.h.p. (Φ = ⌈lg n·lg lg n⌉ here).",
-		Header: []string{"n", "Φ(n)", "down/query", "up/query", "roundtrips", "stash avg", "stash max", "3Φ ceiling"},
+		Header: []string{"n", "Φ(n)", "down/query", "up/query", "exchanges (awaited)", "stash avg", "stash max", "3Φ ceiling"},
 	}
 	for _, n := range sizes(cfg, 1<<10, 1<<12, 1<<14, 1<<16) {
 		db, err := block.PatternDatabase(n, block.DefaultSize)
@@ -80,7 +80,7 @@ func runE5(cfg Config) ([]*Table, error) {
 		t.AddRow(fi(n), fi(c.StashParam()),
 			ff(float64(st.Downloads)/float64(q)),
 			ff(float64(st.Uploads)/float64(q)),
-			"2",
+			"2 (1)",
 			ff(stashSum/float64(q)), fi(c.MaxStashSize()), fi(3*c.StashParam()))
 	}
 	return []*Table{t}, nil

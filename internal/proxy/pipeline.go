@@ -279,7 +279,15 @@ func (p *Pipeline) flush(ops []store.WriteOp, seqs []uint64) {
 	t0 := time.Now()
 	var err error
 	for attempt := 0; attempt <= writeRetries; attempt++ {
+		// The pending entries are the only other copy of these blocks:
+		// they may be cleared only once the store has applied the batch,
+		// so a posting inner store (store.Remote) is flushed inside the
+		// attempt. By the time inFlight reaches zero — what Flush waits
+		// for — nothing of ours is outstanding below.
 		if err = p.inner.WriteBatch(ops); err == nil {
+			err = store.Flush(p.inner)
+		}
+		if err == nil {
 			break
 		}
 	}

@@ -338,11 +338,17 @@ func TestProxyOverTCP(t *testing.T) {
 	if _, err := rc.Download(0); !errors.As(err, &re) {
 		t.Fatalf("download on proxy namespace: err = %v, want a server-side rejection", err)
 	}
-	if err := rc.Upload(0, block.New(rs)); !errors.As(err, &re) {
-		t.Fatalf("upload on proxy namespace: err = %v, want a server-side rejection", err)
-	}
 	if _, err := rc.ReadBatch([]int{0, 1}); !errors.As(err, &re) {
 		t.Fatalf("read batch on proxy namespace: err = %v, want a server-side rejection", err)
+	}
+	// Writes are posted, so the rejection arrives with the barrier (and
+	// fails the connection: last check on it).
+	if err := rc.Upload(0, block.New(rs)); err != nil {
+		t.Fatalf("posting an upload: %v", err)
+	}
+	var pw *store.PostedWriteError
+	if err := rc.Flush(); !errors.As(err, &pw) || !errors.As(err, &re) {
+		t.Fatalf("upload on proxy namespace: flush err = %v, want a posted server-side rejection", err)
 	}
 }
 

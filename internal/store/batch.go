@@ -52,7 +52,11 @@ func PerBlock(s Server) Server { return perBlockOnly{s} }
 
 type perBlockOnly struct{ Server }
 
+func (p perBlockOnly) Flush() error { return Flush(p.Server) }
+
 type loopBatch struct{ Server }
+
+func (l *loopBatch) Flush() error { return Flush(l.Server) }
 
 func (l *loopBatch) ReadBatch(addrs []int) ([]block.Block, error) {
 	out := make([]block.Block, len(addrs))
@@ -152,9 +156,28 @@ func Concurrently(n int, f func(i int) error) error {
 	return nil
 }
 
+// Flusher is implemented by servers whose WriteBatch/Upload may return
+// before the write is known to have landed (a Remote posts its writes; a
+// proxy.Pipeline queues them). Flush blocks until every write accepted so
+// far has been applied by the store underneath, or returns why one was not.
+type Flusher interface {
+	Flush() error
+}
+
+// Flush is the write barrier for any Server: s.Flush() when s is a
+// Flusher, a no-op for servers whose writes are already applied when they
+// return. The wrappers in this package forward it to what they wrap.
+func Flush(s Server) error {
+	if f, ok := s.(Flusher); ok {
+		return f.Flush()
+	}
+	return nil
+}
+
 // BatchWriter accumulates WriteOps and flushes a WriteBatch every
 // ScanWindow ops — the bounded-memory bulk-upload path the constructions'
-// setup routines share. Callers must Flush at the end.
+// setup routines share. Callers must Flush at the end; once that returns
+// nil the server has everything that was added.
 type BatchWriter struct {
 	s   BatchServer
 	ops []WriteOp
@@ -169,13 +192,22 @@ func NewBatchWriter(s BatchServer) *BatchWriter {
 func (w *BatchWriter) Add(addr int, b block.Block) error {
 	w.ops = append(w.ops, WriteOp{Addr: addr, Block: b})
 	if len(w.ops) == ScanWindow {
-		return w.Flush()
+		return w.write()
 	}
 	return nil
 }
 
-// Flush writes the buffered ops, if any.
+// Flush writes the buffered ops, if any, and waits for the server to have
+// applied them and every earlier window (see Flusher).
 func (w *BatchWriter) Flush() error {
+	if err := w.write(); err != nil {
+		return err
+	}
+	return Flush(w.s)
+}
+
+// write hands the buffered window to the server.
+func (w *BatchWriter) write() error {
 	if len(w.ops) == 0 {
 		return nil
 	}

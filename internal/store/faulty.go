@@ -111,6 +111,10 @@ func (f *Faulty) WriteBatch(ops []WriteOp) error {
 	return f.batch.WriteBatch(ops)
 }
 
+// Flush implements Flusher by forwarding to the inner store; a barrier is
+// not an operation and never ticks the fault counter.
+func (f *Faulty) Flush() error { return Flush(f.inner) }
+
 // Size implements Server.
 func (f *Faulty) Size() int { return f.inner.Size() }
 

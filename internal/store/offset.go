@@ -92,6 +92,9 @@ func (o *Offset) WriteBatch(ops []WriteOp) error {
 	return o.inner.WriteBatch(shifted)
 }
 
+// Flush implements Flusher by forwarding to the inner store.
+func (o *Offset) Flush() error { return Flush(o.inner) }
+
 // Size implements Server: the window length, not the inner store's size.
 func (o *Offset) Size() int { return o.n }
 

@@ -122,9 +122,10 @@ func (p *Pool) Download(addr int) (block.Block, error) {
 	return out, err
 }
 
-// Upload implements Server.
+// Upload implements Server. Like WriteBatch it returns only once the
+// server has acknowledged the write.
 func (p *Pool) Upload(addr int, b block.Block) error {
-	return p.run(func(r *Remote) error { return r.Upload(addr, b) })
+	return p.run(func(r *Remote) error { return r.upload(addr, b, true) })
 }
 
 // ReadBatch implements BatchServer; the whole batch rides one connection
@@ -139,9 +140,13 @@ func (p *Pool) ReadBatch(addrs []int) ([]block.Block, error) {
 	return out, err
 }
 
-// WriteBatch implements BatchServer.
+// WriteBatch implements BatchServer. The ack is awaited before the
+// connection goes back to the idle set — a Remote's posted writes are
+// ordered only against later calls on the same connection, and the pool's
+// next call may ride any of them — so nil means the server has applied the
+// batch, and a rejected or shed write fails this call, not a later one.
 func (p *Pool) WriteBatch(ops []WriteOp) error {
-	return p.run(func(r *Remote) error { return r.WriteBatch(ops) })
+	return p.run(func(r *Remote) error { return r.writeBatch(ops, true) })
 }
 
 // Size implements Server.

@@ -23,6 +23,25 @@ import (
 // multi-tenant daemon, Open (or DialNamespace) points the connection at a
 // named namespace; a Remote that never opens one speaks to the daemon's
 // default namespace, exactly as before namespaces existed.
+//
+// Writes are posted. WriteBatch and Upload encode their frame into the
+// connection's write buffer and return nil without flushing it or waiting
+// for the ack: nil means "queued on this connection", not "the server has
+// it". The frame leaves with the next request's flush — upload i and the
+// read batch of access i+1 share one write(2) — and the server executes a
+// connection's frames strictly in order, so every later call on the SAME
+// connection observes the write (read-your-writes needs no overlay). The
+// next request that awaits a response first consumes the outstanding
+// acks, which precede its own response on the stream. A posted write the
+// server rejects or sheds, or whose ack never arrives, fails the next
+// call with a *PostedWriteError and every call after it: the caller
+// released state on the strength of the nil return, so the connection
+// cannot pretend to be healthy. Whoever needs "the server has it" — before
+// handing the data to another connection, counting a quorum ack, or
+// dropping the only other copy — calls Flush. A connection armed with a
+// RetryPolicy awaits each write's ack inside the call instead (a shed write
+// must be seen to be retried), and so do a Pool's connections (FIFO does
+// not span connections).
 type Remote struct {
 	mu         sync.Mutex
 	conn       net.Conn
@@ -45,11 +64,36 @@ type Remote struct {
 	addrScratch  []int
 	blockScratch [][]byte
 
+	// Posted-write state, guarded by mu. posted[:nPosted] is the response
+	// type each outstanding ack must carry, oldest first. failed is the
+	// connection's first transport, framing or posted-write error: once
+	// set, the byte stream can no longer be trusted to line up with the
+	// requests, so every later call fails fast with it.
+	posted  [postedAckBound]byte
+	nPosted int
+	failed  error
+
 	// retry, when set via SetRetryPolicy, re-runs busy-shed public
 	// operations instead of surfacing wire.BusyError (see retry.go). Set
 	// before sharing the connection; nil means busy errors surface.
 	retry *retrier
 }
+
+// postedAckBound caps the acks a connection leaves unread. A write-only
+// burst (BatchWriter during Setup) settles every postedAckBound writes, so
+// unread acks can never fill the socket buffers and wedge both ends in
+// write(2).
+const postedAckBound = 32
+
+// PostedWriteError reports that a write WriteBatch or Upload had already
+// returned nil for did not land: the server answered it with an error or
+// busy frame, or the connection broke before its ack arrived. Err is that
+// answer. The connection is failed for good — see Remote.
+type PostedWriteError struct{ Err error }
+
+func (e *PostedWriteError) Error() string { return "store: posted write failed: " + e.Err.Error() }
+
+func (e *PostedWriteError) Unwrap() error { return e.Err }
 
 // run executes op under the connection's retry policy (or directly when
 // none is armed).
@@ -73,7 +117,12 @@ func dialRaw(addr string) (*Remote, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: dialing %s: %w", addr, err)
 	}
-	return &Remote{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), maxFrame: wire.MaxFrame}, nil
+	return newRemote(conn), nil
+}
+
+// newRemote wraps an established connection, handshake still to come.
+func newRemote(conn net.Conn) *Remote {
+	return &Remote{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), maxFrame: wire.MaxFrame}
 }
 
 // Dial connects to a block server at addr ("host:port") and performs the
@@ -83,24 +132,30 @@ func Dial(addr string) (*Remote, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := rs.roundTrip(wire.Frame{Type: wire.MsgInfoReq}, wire.MsgInfoResp)
-	if err != nil {
+	if err := rs.hello(); err != nil {
 		rs.conn.Close()
 		return nil, err
 	}
+	return rs, nil
+}
+
+// hello performs the info handshake against the default namespace.
+func (rs *Remote) hello() error {
+	resp, err := rs.roundTrip(wire.Frame{Type: wire.MsgInfoReq}, wire.MsgInfoResp)
+	if err != nil {
+		return err
+	}
 	info, err := wire.DecodeInfo(resp.Payload)
 	if err != nil {
-		rs.conn.Close()
-		return nil, err
+		return err
 	}
 	// A hostile or broken server must not be able to poison later
 	// arithmetic (batch chunk sizing divides by the block size).
 	if info.BlockSize == 0 || info.Size == 0 {
-		rs.conn.Close()
-		return nil, fmt.Errorf("store: server reported invalid shape (%d slots × %d B)", info.Size, info.BlockSize)
+		return fmt.Errorf("store: server reported invalid shape (%d slots × %d B)", info.Size, info.BlockSize)
 	}
 	rs.info = info
-	return rs, nil
+	return nil
 }
 
 // DialNamespace connects to a block server and opens the named namespace —
@@ -187,52 +242,131 @@ func (rs *Remote) shape() wire.Info {
 	return rs.info
 }
 
+// roundTrip is the cold-path exchange: encode req, await the response, and
+// hand back a frame whose payload the caller owns.
 func (rs *Remote) roundTrip(req wire.Frame, want byte) (wire.Frame, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if err := wire.WriteFrame(rs.w, req); err != nil {
+	if err := rs.sendFrameLocked(req); err != nil {
 		return wire.Frame{}, err
 	}
-	if err := rs.w.Flush(); err != nil {
-		return wire.Frame{}, fmt.Errorf("store: flushing request: %w", err)
-	}
-	rs.roundTrips++
-	resp, err := wire.ReadFrame(rs.r)
+	resp, err := rs.awaitLocked(want)
 	if err != nil {
-		return wire.Frame{}, fmt.Errorf("store: reading response: %w", err)
-	}
-	if err := wire.AsError(resp, want); err != nil {
 		return wire.Frame{}, err
 	}
+	resp.Payload = append([]byte(nil), resp.Payload...) // rs.readBuf is reused once mu is released
 	return resp, nil
 }
 
-// hotRoundTripLocked performs one round trip with the pre-encoded frame
-// already in rs.encBuf, reading the response into rs.readBuf. Callers must
-// hold mu and must finish with the returned frame — whose payload aliases
-// rs.readBuf — before releasing it.
-func (rs *Remote) hotRoundTripLocked(want byte) (wire.Frame, error) {
-	if _, err := rs.w.Write(rs.encBuf); err != nil {
-		return wire.Frame{}, fmt.Errorf("store: writing request: %w", err)
+// failLocked records the connection's first fatal error and returns the
+// error every call now fails with.
+func (rs *Remote) failLocked(err error) error {
+	if rs.failed == nil {
+		rs.failed = err
 	}
-	if err := rs.w.Flush(); err != nil {
-		return wire.Frame{}, fmt.Errorf("store: flushing request: %w", err)
+	return rs.failed
+}
+
+// sendLocked appends one encoded request to the write buffer — nothing
+// reaches the socket until the buffer fills or a flush — and counts the
+// exchange.
+func (rs *Remote) sendLocked(frame []byte) error {
+	if rs.failed != nil {
+		return rs.failed
+	}
+	if _, err := rs.w.Write(frame); err != nil {
+		return rs.failLocked(fmt.Errorf("store: writing request: %w", err))
 	}
 	rs.roundTrips++
+	return nil
+}
+
+// sendFrameLocked is sendLocked for a cold-path frame.
+func (rs *Remote) sendFrameLocked(req wire.Frame) error {
+	var err error
+	if rs.encBuf, err = wire.AppendFrame(rs.encBuf[:0], req); err != nil {
+		return err
+	}
+	return rs.sendLocked(rs.encBuf)
+}
+
+// settleLocked flushes the write buffer and consumes the ack of every
+// posted write, oldest first. Any failure here concerns a write whose
+// caller was already told nil, so it is wrapped as a *PostedWriteError and
+// fails the connection.
+func (rs *Remote) settleLocked() error {
+	if rs.failed != nil {
+		return rs.failed
+	}
+	err := rs.w.Flush()
+	if err != nil {
+		err = fmt.Errorf("store: flushing request: %w", err)
+	}
+	for i := 0; err == nil && i < rs.nPosted; i++ {
+		var ack wire.Frame
+		if ack, err = rs.readLocked(); err == nil {
+			err = wire.AsError(ack, rs.posted[i])
+		}
+	}
+	if err == nil {
+		rs.nPosted = 0
+		return nil
+	}
+	if rs.nPosted > 0 {
+		err = &PostedWriteError{Err: err}
+	}
+	return rs.failLocked(err)
+}
+
+// readLocked reads one frame into rs.readBuf.
+func (rs *Remote) readLocked() (wire.Frame, error) {
 	resp, buf, err := wire.ReadFrameInto(rs.r, rs.readBuf)
 	rs.readBuf = buf
 	if err != nil {
 		return wire.Frame{}, fmt.Errorf("store: reading response: %w", err)
 	}
+	return resp, nil
+}
+
+// awaitLocked completes the exchange of the request just sent: flush it —
+// together with any posted writes riding in front of it — consume their
+// acks, then read its own response into rs.readBuf. Callers must finish
+// with the returned frame, whose payload aliases rs.readBuf, before
+// releasing mu. A well-formed error or busy answer leaves the connection
+// usable (the stream is still in step); anything else fails it.
+func (rs *Remote) awaitLocked(want byte) (wire.Frame, error) {
+	if err := rs.settleLocked(); err != nil {
+		return wire.Frame{}, err
+	}
+	resp, err := rs.readLocked()
+	if err != nil {
+		return wire.Frame{}, rs.failLocked(err)
+	}
 	if err := wire.AsError(resp, want); err != nil {
+		switch err.(type) {
+		case *wire.RemoteError, *wire.BusyError:
+		default:
+			rs.failLocked(err)
+		}
 		return wire.Frame{}, err
 	}
 	return resp, nil
 }
 
+// Flush is the posted-write barrier: it sends anything still buffered,
+// collects every outstanding ack, and returns the first deferred error
+// (nil: the server has applied every write this connection accepted).
+func (rs *Remote) Flush() error {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.settleLocked()
+}
+
 // RoundTrips returns the number of request/response exchanges performed on
-// this connection (including the handshake). Benchmarks use it to show the
-// batch transport collapsing per-block chatter.
+// this connection (including the handshake), counted when the request is
+// sent — a posted write is an exchange whether or not anyone waited for it.
+// Benchmarks use it to show the batch transport collapsing per-block
+// chatter.
 func (rs *Remote) RoundTrips() int64 {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -247,7 +381,7 @@ func (rs *Remote) Download(addr int) (block.Block, error) {
 		if err != nil {
 			return err
 		}
-		out = block.Block(resp.Payload).Copy()
+		out = block.Block(resp.Payload) // roundTrip's payload is already the caller's
 		return nil
 	})
 	if err != nil {
@@ -256,12 +390,57 @@ func (rs *Remote) Download(addr int) (block.Block, error) {
 	return out, nil
 }
 
-// Upload implements Server.
-func (rs *Remote) Upload(addr int, b block.Block) error {
-	return rs.run(func() error {
-		_, err := rs.roundTrip(wire.EncodeUploadReq(uint64(addr), b), wire.MsgUploadResp)
+// Upload implements Server as a posted write (see Remote).
+func (rs *Remote) Upload(addr int, b block.Block) error { return rs.upload(addr, b, false) }
+
+func (rs *Remote) upload(addr int, b block.Block, await bool) error {
+	if err := checkWrite(rs.shape(), addr, b); err != nil {
 		return err
-	})
+	}
+	req := wire.EncodeUploadReq(uint64(addr), b)
+	await = await || rs.retry != nil // a shed write must be seen to be retried
+	return rs.run(func() error { return rs.write(req, wire.MsgUploadResp, await) })
+}
+
+// checkWrite rejects a write the handshake shape already rules out, before
+// any frame exists: a caller's argument error must fail its own call, not —
+// posted — the next one and the connection with it. (For batches the frame
+// layout also relies on uniform block sizes; a ragged op would silently
+// mis-frame on the wire.)
+func checkWrite(info wire.Info, addr int, b block.Block) error {
+	if addr < 0 || uint64(addr) >= info.Size {
+		return fmt.Errorf("%w: %d (size %d)", ErrAddr, addr, info.Size)
+	}
+	if len(b) != int(info.BlockSize) {
+		return fmt.Errorf("%w: got %d want %d", block.ErrSize, len(b), info.BlockSize)
+	}
+	return nil
+}
+
+// write sends one cold-path write frame, awaiting its ack or posting it.
+func (rs *Remote) write(req wire.Frame, want byte, await bool) error {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if err := rs.sendFrameLocked(req); err != nil {
+		return err
+	}
+	return rs.ackLocked(want, await)
+}
+
+// ackLocked disposes of the ack (of type want) of the write frame just
+// sent: awaited in this exchange, or posted for a later one to consume —
+// settling now only when the bound on unread acks is reached.
+func (rs *Remote) ackLocked(want byte, await bool) error {
+	if await {
+		_, err := rs.awaitLocked(want)
+		return err
+	}
+	rs.posted[rs.nPosted] = want
+	rs.nPosted++
+	if rs.nPosted < postedAckBound {
+		return nil
+	}
+	return rs.settleLocked()
 }
 
 // readChunk returns the largest address count whose MsgReadBatchReq and
@@ -323,7 +502,10 @@ func (rs *Remote) readBatchOnce(addrs []int) ([]block.Block, error) {
 			end = len(addrs)
 		}
 		rs.encBuf = wire.AppendReadBatchReq(rs.encBuf[:0], addrs[start:end])
-		resp, err := rs.hotRoundTripLocked(wire.MsgReadBatchResp)
+		if err := rs.sendLocked(rs.encBuf); err != nil {
+			return nil, err
+		}
+		resp, err := rs.awaitLocked(wire.MsgReadBatchResp)
 		if err != nil {
 			return nil, err
 		}
@@ -350,30 +532,32 @@ func (rs *Remote) readBatchOnce(addrs []int) ([]block.Block, error) {
 	return out, nil
 }
 
-// WriteBatch implements BatchServer in one round trip (split as needed to
-// respect MaxFrame), staging each chunk in the connection's reusable
-// scratch. The ops' blocks are read before the call returns and never
-// retained.
-func (rs *Remote) WriteBatch(ops []WriteOp) error {
+// WriteBatch implements BatchServer as one posted exchange (split as needed
+// to respect MaxFrame; see Remote for what nil means), staging each chunk
+// in the connection's reusable scratch. The ops' blocks are read before the
+// call returns and never retained.
+func (rs *Remote) WriteBatch(ops []WriteOp) error { return rs.writeBatch(ops, false) }
+
+// writeBatch is WriteBatch with the ack awaited inside the call when await
+// is set (Pool) or a RetryPolicy is armed.
+func (rs *Remote) writeBatch(ops []WriteOp, await bool) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	if rs.retry != nil {
 		// Replaying a half-applied batch is safe: WriteBatch sets absolute
 		// values, so a second application converges to the same state.
-		return rs.retry.do(func() error { return rs.writeBatchOnce(ops) })
+		return rs.retry.do(func() error { return rs.writeBatchOnce(ops, true) })
 	}
-	return rs.writeBatchOnce(ops)
+	return rs.writeBatchOnce(ops, await)
 }
 
-func (rs *Remote) writeBatchOnce(ops []WriteOp) error {
-	// The batch frame layout relies on uniform block sizes; a ragged op
-	// would silently mis-frame on the wire, so fail it here exactly as the
-	// server would fail the per-block upload.
-	blockSize := int(rs.shape().BlockSize)
+func (rs *Remote) writeBatchOnce(ops []WriteOp, await bool) error {
+	info := rs.shape()
+	blockSize := int(info.BlockSize)
 	for _, op := range ops {
-		if len(op.Block) != blockSize {
-			return fmt.Errorf("%w: got %d want %d", block.ErrSize, len(op.Block), blockSize)
+		if err := checkWrite(info, op.Addr, op.Block); err != nil {
+			return err
 		}
 	}
 	chunk := rs.writeChunk(blockSize)
@@ -404,7 +588,10 @@ func (rs *Remote) writeBatchOnce(ops []WriteOp) error {
 		if err != nil {
 			return err
 		}
-		if _, err := rs.hotRoundTripLocked(wire.MsgWriteBatchResp); err != nil {
+		if err := rs.sendLocked(rs.encBuf); err != nil {
+			return err
+		}
+		if err := rs.ackLocked(wire.MsgWriteBatchResp, await); err != nil {
 			return err
 		}
 	}
@@ -476,8 +663,24 @@ func (rs *Remote) Size() int { return int(rs.shape().Size) }
 // BlockSize implements Server.
 func (rs *Remote) BlockSize() int { return int(rs.shape().BlockSize) }
 
-// Close closes the connection.
-func (rs *Remote) Close() error { return rs.conn.Close() }
+// Close flushes (see Flush) and closes the connection, returning the
+// deferred error if there is one. A call still in flight holds mu, possibly
+// wedged in a dead peer's socket, and closing is what unblocks it — so
+// Close does not wait for the lock (a caller that has quiesced, as it
+// must to have anything worth flushing, always gets it) and bounds the
+// flush itself.
+func (rs *Remote) Close() error {
+	var err error
+	if rs.mu.TryLock() {
+		rs.conn.SetDeadline(time.Now().Add(dialTimeout)) //nolint:errcheck
+		err = rs.settleLocked()
+		rs.mu.Unlock()
+	}
+	if cerr := rs.conn.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // Serve accepts connections on ln and serves the wire protocol against
 // backing until ln is closed. Each connection is handled on its own
@@ -556,7 +759,7 @@ func serveConn(conn net.Conn, ns *Namespaces) {
 				if _, err := w.Write(raw); err != nil {
 					return
 				}
-				if err := w.Flush(); err != nil {
+				if err := flushIfDrained(r, w); err != nil {
 					return
 				}
 				continue
@@ -572,8 +775,14 @@ func serveConn(conn net.Conn, ns *Namespaces) {
 		if raw, handled := handleBatch(req, cur, cs); handled {
 			_, err := w.Write(raw)
 			if err == nil {
-				err = w.Flush()
+				err = flushIfDrained(r, w)
 			}
+			// The admission slot is released once the response is WRITTEN
+			// into the connection's buffer, which is not always once it is
+			// flushed: a pipelining client's response may wait in the buffer
+			// for the next request's. That request is already here and is
+			// admitted (or shed) on its own, so the slot is never held across
+			// a wait for the client.
 			if admitted {
 				svc := lim.release(svcStart)
 				if sl.Enabled() {
@@ -604,7 +813,7 @@ func serveConn(conn net.Conn, ns *Namespaces) {
 		}
 		err = wire.WriteFrame(w, resp)
 		if err == nil {
-			err = w.Flush()
+			err = flushIfDrained(r, w)
 		}
 		if admitted {
 			svc := lim.release(svcStart)
@@ -616,6 +825,22 @@ func serveConn(conn net.Conn, ns *Namespaces) {
 			return
 		}
 	}
+}
+
+// flushIfDrained flushes the connection's responses unless another request
+// is already buffered, in which case they wait and leave together with that
+// request's response: a client that pipelines (a posted write with the next
+// read batch behind it) gets its acks and its answer in one write(2) and
+// one read(2). A client that awaits every response never has a second
+// request buffered and sees a flush per response, as before. Responses are
+// only ever held while there is input to work on — a partly arrived request
+// counts, since its sender is mid-write and needs nothing from us to finish
+// it — so nothing is withheld from a client that is waiting.
+func flushIfDrained(r *bufio.Reader, w *bufio.Writer) error {
+	if r.Buffered() > 0 {
+		return nil
+	}
+	return w.Flush()
 }
 
 // observeSlow builds and offers a slow-request span — called only when

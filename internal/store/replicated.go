@@ -766,7 +766,7 @@ func (r *Replicated) runWriter(rep *replica) {
 		r.mu.Unlock()
 
 		rep.syncMu.Lock()
-		err := backend.WriteBatch(j.ops)
+		err := writeApplied(backend, j.ops)
 		r.mu.Lock()
 		if err != nil {
 			wasDown := rep.state == ReplicaDown
@@ -1095,7 +1095,7 @@ func (r *Replicated) streamDirty(rep *replica, backend BatchServer) error {
 			rep.syncMu.Unlock()
 			return nil
 		}
-		if err := backend.WriteBatch(ops); err != nil {
+		if err := writeApplied(backend, ops); err != nil {
 			rep.syncMu.Unlock()
 			return err
 		}
@@ -1154,7 +1154,7 @@ func (r *Replicated) streamFull(rep *replica, backend BatchServer) error {
 		}
 		r.mu.Unlock()
 		if len(ops) > 0 {
-			if err := backend.WriteBatch(ops); err != nil {
+			if err := writeApplied(backend, ops); err != nil {
 				rep.syncMu.Unlock()
 				return err
 			}
@@ -1233,6 +1233,17 @@ func (r *Replicated) readPeer(syncing *replica, addrs []int, watermark uint64) (
 		}
 		r.eject(peer, backend, err)
 	}
+}
+
+// writeApplied writes ops to a replica backend and returns only once the
+// backend has applied them: a quorum counts acks, and a resync drops
+// backlog entries on the strength of the return, so a Remote backend's
+// posted write is flushed before anyone acts on it.
+func writeApplied(backend BatchServer, ops []WriteOp) error {
+	if err := backend.WriteBatch(ops); err != nil {
+		return err
+	}
+	return Flush(backend)
 }
 
 // closeBackend closes a backend if it is closable (a Remote connection).

@@ -264,6 +264,9 @@ func (c *Counting) WriteBatch(ops []WriteOp) error {
 	return nil
 }
 
+// Flush implements Flusher by forwarding to the inner store.
+func (c *Counting) Flush() error { return Flush(c.inner) }
+
 // Size implements Server.
 func (c *Counting) Size() int { return c.inner.Size() }
 

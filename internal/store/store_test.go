@@ -239,9 +239,13 @@ func TestRemoteOverLoopback(t *testing.T) {
 	defer r.Close()
 	exercise(t, r, 8, 32)
 
-	// Writes through the remote are visible in the backing store.
+	// Writes through the remote are visible in the backing store once
+	// flushed (a Remote posts its writes).
 	want := block.Pattern(9, 32)
 	if err := r.Upload(3, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := backing.Download(3)

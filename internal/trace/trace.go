@@ -133,6 +133,9 @@ func (r *Recorder) Upload(addr int, b block.Block) error {
 	return nil
 }
 
+// Flush implements store.Flusher by forwarding to the inner store.
+func (r *Recorder) Flush() error { return store.Flush(r.inner) }
+
 // Size implements store.Server.
 func (r *Recorder) Size() int { return r.inner.Size() }
 

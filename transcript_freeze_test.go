@@ -18,6 +18,7 @@ package dpstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 	"net"
 	"testing"
 
@@ -44,6 +45,14 @@ const (
 func frozenWorkload(t *testing.T, rec *trace.Recorder, src *rng.Source,
 	access func(q workload.Query) (block.Block, error)) string {
 	t.Helper()
+	return frozenDigest(frozenQueries(t, src, access), rec)
+}
+
+// frozenQueries runs the frozen query sequence and hashes every returned
+// record.
+func frozenQueries(t *testing.T, src *rng.Source,
+	access func(q workload.Query) (block.Block, error)) hash.Hash {
+	t.Helper()
 	h := sha256.New()
 	for k := 0; k < freezeQueries; k++ {
 		q := workload.Query{Index: src.Intn(freezeN), Op: workload.Read}
@@ -57,6 +66,11 @@ func frozenWorkload(t *testing.T, rec *trace.Recorder, src *rng.Source,
 		}
 		h.Write(got)
 	}
+	return h
+}
+
+// frozenDigest folds the server-side transcript into the records' hash.
+func frozenDigest(h hash.Hash, rec *trace.Recorder) string {
 	h.Write([]byte(rec.Transcript().Key()))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -203,7 +217,13 @@ func TestTranscriptFreezeRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := frozenWorkload(t, rec, rng.New(1007), c.Access)
+	h := frozenQueries(t, rng.New(1007), c.Access)
+	// The Recorder is read out of band, behind the daemon: the last access's
+	// posted upload is part of the transcript only once it is flushed.
+	if err := remote.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := frozenDigest(h, rec)
 	if got != golden {
 		t.Fatalf("seeded DP-RAM transcript over TCP drifted:\n got %s\nwant %s", got, golden)
 	}
