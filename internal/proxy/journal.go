@@ -15,11 +15,18 @@ import (
 )
 
 // Journal is the proxy's durable checkpoint log: an append-only file of
-// CRC-framed records, each a complete Checkpoint (scheme client state plus
-// the acked-but-unflushed physical writes at that instant). Recovery needs
-// only the LAST intact record — every record is a full snapshot, not a
-// delta — so compaction is trivial: when the log outgrows its limit, it is
-// rewritten (atomically, via rename) to hold just the newest record.
+// CRC-framed records, each describing a complete Checkpoint (scheme client
+// state plus the acked-but-unflushed physical writes at that instant). The
+// pending writes are stored whole; the state is stored as a DELTA against
+// the state of the record before it — the bytes between the longest common
+// prefix and suffix — so a record costs what one checkpoint changed, not
+// what the scheme holds. A record whose prefix and suffix are both empty
+// is a full snapshot: the first record of every file is one (there is no
+// base before it), and so is any record whose state shares neither end
+// with its predecessor. Recovery replays the chain from the file's first
+// record and needs only the LAST intact state, so compaction is trivial:
+// when the log outgrows its limit, it is rewritten (atomically, via
+// rename) to hold just the newest checkpoint as one full record.
 //
 // The commit protocol the scheduler follows makes the journal the single
 // source of truth for what was acknowledged:
@@ -39,6 +46,12 @@ import (
 // fail the CRC and are discarded at open, which is correct: their
 // accesses were never acknowledged.
 //
+// A delta is only as good as its base, so the in-memory base advances only
+// once a record is on stable storage, and the first failed append fails
+// the journal for good: what lies behind the last known-good offset is
+// then unknown, and appending past it could chain a delta onto a record
+// recovery will discard.
+//
 // The journal also owns the proxy's recovery epoch, bumped on every open
 // and reported through the wire handshake.
 type Journal struct {
@@ -48,7 +61,9 @@ type Journal struct {
 	limit int64
 	size  int64
 	epoch uint64
-	last  []byte // encoded payload of the newest checkpoint, for compaction
+	base  []byte // state of the newest durable record: what the next delta is against
+	buf   []byte // frame scratch, reused across appends
+	err   error  // first append failure; sticky
 }
 
 // Checkpoint is one recoverable proxy state: everything needed to resume
@@ -72,25 +87,58 @@ const (
 
 var journalMagic = [8]byte{'D', 'P', 'S', 'T', 'J', 'N', 'L', '1'}
 
-const journalVersion = 1
+const journalVersion = 2
 
 var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeJournalHeader lays out magic ‖ version u32 ‖ epoch u64 ‖ crc u32.
-func encodeJournalHeader(epoch uint64) []byte {
-	h := make([]byte, journalHdrSize)
-	copy(h[:8], journalMagic[:])
-	binary.BigEndian.PutUint32(h[8:12], journalVersion)
-	binary.BigEndian.PutUint64(h[12:20], epoch)
-	binary.BigEndian.PutUint32(h[20:24], crc32.Checksum(h[:20], journalCRC))
-	return h
+// appendJournalHeader lays out magic ‖ version u32 ‖ epoch u64 ‖ crc u32.
+func appendJournalHeader(dst []byte, epoch uint64) []byte {
+	start := len(dst)
+	dst = append(dst, journalMagic[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, journalVersion)
+	dst = binary.BigEndian.AppendUint64(dst, epoch)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], journalCRC))
 }
 
-// encodeCheckpoint lays out a record payload:
+// commonPrefix returns how many leading bytes a and b share.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if binary.LittleEndian.Uint64(a[i:]) != binary.LittleEndian.Uint64(b[i:]) {
+			break
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// commonSuffix returns how many trailing bytes a and b share.
+func commonSuffix(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if binary.LittleEndian.Uint64(a[len(a)-i-8:]) != binary.LittleEndian.Uint64(b[len(b)-i-8:]) {
+			break
+		}
+	}
+	for i < n && a[len(a)-1-i] == b[len(b)-1-i] {
+		i++
+	}
+	return i
+}
+
+// appendRecord frames ck onto dst as length u32 ‖ payload ‖ crc u32, the
+// length counting payload and crc, the crc covering the payload:
 //
-//	stateLen u32 ‖ state ‖ pendingCount u32 ‖ blockSize u32 ‖
-//	count × (addr u64 ‖ block)
-func encodeCheckpoint(ck Checkpoint) ([]byte, error) {
+//	prefixLen u32 ‖ suffixLen u32 ‖ middleLen u32 ‖ middle ‖ stateCRC u32 ‖
+//	pendingCount u32 ‖ blockSize u32 ‖ count × (addr u64 ‖ block)
+//
+// The record's state is base[:prefixLen] ‖ middle ‖ base[len-suffixLen:]
+// and stateCRC is its checksum. A nil base yields a full record.
+func appendRecord(dst, base []byte, ck Checkpoint) ([]byte, error) {
 	blockSize := 0
 	if len(ck.Pending) > 0 {
 		blockSize = len(ck.Pending[0].Block)
@@ -98,57 +146,92 @@ func encodeCheckpoint(ck Checkpoint) ([]byte, error) {
 			return nil, fmt.Errorf("%w: zero-sized pending block", ErrJournal)
 		}
 	}
-	size := 4 + len(ck.State) + 8 + len(ck.Pending)*(8+blockSize)
-	out := make([]byte, 0, size)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(ck.State)))
-	out = append(out, ck.State...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(ck.Pending)))
-	out = binary.BigEndian.AppendUint32(out, uint32(blockSize))
+	prefix := commonPrefix(base, ck.State)
+	suffix := commonSuffix(base[prefix:], ck.State[prefix:])
+	middle := ck.State[prefix : len(ck.State)-suffix]
+
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, 0) // length, patched below
+	dst = binary.BigEndian.AppendUint32(dst, uint32(prefix))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(suffix))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(middle)))
+	dst = append(dst, middle...)
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(ck.State, journalCRC))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ck.Pending)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(blockSize))
 	for _, op := range ck.Pending {
 		if len(op.Block) != blockSize {
 			return nil, fmt.Errorf("%w: ragged pending block (%d B, want %d)", ErrJournal, len(op.Block), blockSize)
 		}
-		out = binary.BigEndian.AppendUint64(out, uint64(op.Addr))
-		out = append(out, op.Block...)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(op.Addr))
+		dst = append(dst, op.Block...)
 	}
-	return out, nil
+	payload := dst[start+4:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)+4))
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, journalCRC)), nil
 }
 
-// decodeCheckpoint parses a record payload.
-func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
-	r := statecodec.NewReader(payload)
-	stateLen := int(r.U32())
-	if r.Err() != nil || stateLen < 0 {
-		return nil, fmt.Errorf("%w: state length", ErrJournal)
+// applyRecord parses one CRC-valid record payload and applies its delta to
+// base, returning the record's state (in scratch's storage when the length
+// changes, else in place), the spare buffer, and the still-encoded pending
+// set. A payload that does not parse, does not fit its base or does not
+// reproduce its recorded state CRC is a broken chain, not a torn tail.
+func applyRecord(base, scratch, payload []byte) (state, spare, pending []byte, err error) {
+	if len(payload) < 16 {
+		return nil, nil, nil, fmt.Errorf("%d-byte record payload", len(payload))
 	}
-	state := r.Bytes(stateLen)
+	prefix := int(binary.BigEndian.Uint32(payload[0:]))
+	suffix := int(binary.BigEndian.Uint32(payload[4:]))
+	midLen := int(binary.BigEndian.Uint32(payload[8:]))
+	payload = payload[12:]
+	if midLen > len(payload)-4 {
+		return nil, nil, nil, fmt.Errorf("%d-byte delta in %d bytes", midLen, len(payload))
+	}
+	middle, want := payload[:midLen], binary.BigEndian.Uint32(payload[midLen:])
+	if prefix > len(base) || suffix > len(base)-prefix {
+		return nil, nil, nil, fmt.Errorf("delta keeps %d+%d bytes of a %d-byte base", prefix, suffix, len(base))
+	}
+	if prefix+midLen+suffix == len(base) {
+		copy(base[prefix:], middle)
+		state, spare = base, scratch
+	} else {
+		state = append(append(append(scratch[:0], base[:prefix]...), middle...), base[len(base)-suffix:]...)
+		spare = base
+	}
+	if got := crc32.Checksum(state, journalCRC); got != want {
+		return nil, nil, nil, fmt.Errorf("delta yields state crc %08x, record says %08x", got, want)
+	}
+	return state, spare, payload[midLen+4:], nil
+}
+
+// decodePending parses the pending set of a record payload.
+func decodePending(data []byte) ([]store.WriteOp, error) {
+	r := statecodec.NewReader(data)
 	count := int(r.U32())
 	blockSize := int(r.U32())
 	if r.Err() != nil || count < 0 || (count > 0 && blockSize <= 0) {
-		return nil, fmt.Errorf("%w: pending shape count=%d blockSize=%d", ErrJournal, count, blockSize)
+		return nil, fmt.Errorf("pending shape count=%d blockSize=%d", count, blockSize)
 	}
-	ck := &Checkpoint{State: append([]byte(nil), state...)}
-	ck.Pending = make([]store.WriteOp, count)
-	for i := 0; i < count; i++ {
+	if count > 0 && count > (len(data)-8)/(8+blockSize) {
+		return nil, fmt.Errorf("%d pending blocks of %d B in %d bytes", count, blockSize, len(data)-8)
+	}
+	pending := make([]store.WriteOp, count)
+	for i := range pending {
 		addr := int(r.U64())
-		data := r.Bytes(blockSize)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		ck.Pending[i] = store.WriteOp{Addr: addr, Block: block.Block(data).Copy()}
+		pending[i] = store.WriteOp{Addr: addr, Block: block.Block(r.Bytes(blockSize)).Copy()}
 	}
 	if err := r.Drained(); err != nil {
 		return nil, err
 	}
-	return ck, nil
+	return pending, nil
 }
 
 // OpenJournal opens (or creates) the checkpoint journal at path, returning
 // the newest intact checkpoint (nil for a fresh journal — the caller runs
 // scheme setup and appends the first one). Opening bumps the recovery
 // epoch and compacts: the file is atomically rewritten to hold the new
-// header plus that one checkpoint, discarding history and any torn tail.
-// limit ≤ 0 selects 64 MiB.
+// header plus that one checkpoint as a full record, discarding history and
+// any torn tail. limit ≤ 0 selects 64 MiB.
 func OpenJournal(path string, limit int64) (*Journal, *Checkpoint, error) {
 	if limit <= 0 {
 		limit = defaultJournalSize
@@ -168,23 +251,21 @@ func OpenJournal(path string, limit int64) (*Journal, *Checkpoint, error) {
 			return nil, nil, fmt.Errorf("%w: %s: %v", ErrJournal, path, derr)
 		}
 		j.epoch = epoch + 1
-		j.last = last
-		if last != nil {
-			if ck, derr = decodeCheckpoint(last); derr != nil {
-				return nil, nil, fmt.Errorf("%w: %s: %v", ErrJournal, path, derr)
-			}
-		}
+		ck = last
 	}
-	if err := j.rewrite(); err != nil {
+	if err := j.rewrite(ck); err != nil {
 		return nil, nil, err
 	}
 	return j, ck, nil
 }
 
-// scanJournal validates the header and walks the records, returning the
-// stored epoch and the payload of the last intact record (nil if none). A
-// torn or corrupt record ends the walk — everything before it stands.
-func scanJournal(data []byte) (epoch uint64, last []byte, err error) {
+// scanJournal validates the header and walks the records, applying each
+// delta to the state before it, and returns the stored epoch and the
+// checkpoint of the last intact record (nil if none). A torn or corrupt
+// record ends the walk — everything before it stands. A record that
+// passes its CRC and still does not apply is an error: the state it
+// describes was acknowledged and cannot be rebuilt.
+func scanJournal(data []byte) (epoch uint64, last *Checkpoint, err error) {
 	if len(data) < journalHdrSize {
 		return 0, nil, errors.New("short header")
 	}
@@ -198,7 +279,9 @@ func scanJournal(data []byte) (epoch uint64, last []byte, err error) {
 	}
 	epoch = binary.BigEndian.Uint64(hdr[12:20])
 	rest := data[journalHdrSize:]
-	for len(rest) >= 4 {
+	var state, spare, pending []byte
+	records := 0
+	for ; len(rest) >= 4; records++ {
 		recLen := int(binary.BigEndian.Uint32(rest[:4]))
 		if recLen < 4 || len(rest)-4 < recLen {
 			break // torn tail
@@ -208,48 +291,50 @@ func scanJournal(data []byte) (epoch uint64, last []byte, err error) {
 		if crc32.Checksum(rec[:crcOff], journalCRC) != binary.BigEndian.Uint32(rec[crcOff:]) {
 			break // corrupt (mid-append crash): unacknowledged, discard
 		}
-		last = rec[:crcOff]
+		if state, spare, pending, err = applyRecord(state, spare, rec[:crcOff]); err != nil {
+			return 0, nil, fmt.Errorf("record %d: %w", records, err)
+		}
 		rest = rest[4+recLen:]
 	}
-	return epoch, last, nil
+	if records == 0 {
+		return epoch, nil, nil
+	}
+	ops, err := decodePending(pending)
+	if err != nil {
+		return 0, nil, fmt.Errorf("record %d: %w", records-1, err)
+	}
+	return epoch, &Checkpoint{State: state, Pending: ops}, nil
 }
 
-// rewrite atomically replaces the journal file with header + newest
-// checkpoint — the compaction primitive, also used at open (epoch bump)
-// and when the log outgrows its limit. Caller holds j.mu or has exclusive
-// access.
-func (j *Journal) rewrite() error {
-	buf := encodeJournalHeader(j.epoch)
-	if j.last != nil {
-		buf = append(buf, frameRecord(j.last)...)
+// rewrite atomically replaces the journal file with header + ck as one
+// full record (header alone for a nil ck) and makes ck's state the delta
+// base — the compaction primitive, also used at open (epoch bump) and when
+// the log outgrows its limit. Caller holds j.mu or has exclusive access.
+func (j *Journal) rewrite(ck *Checkpoint) error {
+	buf := appendJournalHeader(j.buf[:0], j.epoch)
+	if ck != nil {
+		var err error
+		if buf, err = appendRecord(buf, nil, *ck); err != nil {
+			return err
+		}
 	}
+	j.buf = buf
 	if err := store.WriteFileAtomic(j.path, buf); err != nil {
 		return err
-	}
-	if j.f != nil {
-		j.f.Close()
 	}
 	f, err := os.OpenFile(j.path, os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("proxy: reopening journal %s: %w", j.path, err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("proxy: stat journal %s: %w", j.path, err)
+	if j.f != nil {
+		j.f.Close()
 	}
 	j.f = f
-	j.size = st.Size()
+	j.size = int64(len(buf))
+	if ck != nil {
+		j.base = append(j.base[:0], ck.State...)
+	}
 	return nil
-}
-
-// frameRecord wraps a payload as length u32 ‖ payload ‖ crc u32.
-func frameRecord(payload []byte) []byte {
-	rec := make([]byte, 0, 4+len(payload)+4)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(len(payload)+4))
-	rec = append(rec, payload...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.Checksum(payload, journalCRC))
-	return rec
 }
 
 // Epoch returns the recovery epoch of this journal incarnation.
@@ -258,34 +343,41 @@ func (j *Journal) Epoch() uint64 { return j.epoch }
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Append makes ck durable: encoded, CRC-framed, appended, fsynced. When
-// the log would outgrow its limit the append becomes a compacting rewrite
-// instead (same durability, one atomic rename). Append returns only once
-// the checkpoint is on stable storage — the caller may then release held
-// writes and acknowledge clients.
+// Append makes ck durable: encoded as a delta against the last durable
+// state, CRC-framed, appended, fdatasynced. When the log would outgrow its
+// limit the append becomes a compacting rewrite instead (same durability,
+// one atomic rename, a full record). Append returns only once the
+// checkpoint is on stable storage — the caller may then release held
+// writes and acknowledge clients. After one failed Append every later one
+// returns that first error.
 func (j *Journal) Append(ck Checkpoint) error {
-	payload, err := encodeCheckpoint(ck)
-	if err != nil {
-		return err
-	}
-	rec := frameRecord(payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
 	if j.f == nil {
 		return fmt.Errorf("%w: journal closed", ErrJournal)
 	}
+	rec, err := appendRecord(j.buf[:0], j.base, ck)
+	if err != nil {
+		return err // nothing written: the journal stands
+	}
+	j.buf = rec
 	if j.size+int64(len(rec)) > j.limit {
-		j.last = payload
-		return j.rewrite()
+		j.err = j.rewrite(&ck)
+		return j.err
 	}
 	if _, err := j.f.WriteAt(rec, j.size); err != nil {
-		return fmt.Errorf("proxy: appending journal: %w", err)
+		j.err = fmt.Errorf("proxy: appending journal: %w", err)
+		return j.err
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("proxy: syncing journal: %w", err)
+	if err := store.Datasync(j.f); err != nil {
+		j.err = fmt.Errorf("proxy: syncing journal: %w", err)
+		return j.err
 	}
 	j.size += int64(len(rec))
-	j.last = payload
+	j.base = append(j.base[:0], ck.State...)
 	return nil
 }
 

@@ -199,6 +199,12 @@ func NewDurable(scheme DurableScheme, opts Options, journal *Journal) (*Proxy, e
 // only the ack timing and the fsync amortization differ.
 func (p *Proxy) scheduler() {
 	defer close(p.schedDone)
+	// Reused across bursts; cleared after the acks so that no served block
+	// or query payload stays pinned until the slot is next overwritten.
+	var (
+		burst   []request
+		results []result
+	)
 	for req := range p.reqs {
 		if p.journal == nil {
 			b, err := p.scheme.Access(req.q)
@@ -208,7 +214,7 @@ func (p *Proxy) scheduler() {
 			req.resp <- result{b: b, err: err}
 			continue
 		}
-		burst := []request{req}
+		burst = append(burst[:0], req)
 	gather:
 		for len(burst) < checkpointBurst {
 			select {
@@ -233,10 +239,10 @@ func (p *Proxy) scheduler() {
 			continue
 		}
 		obsCheckpointBurst.Record(int64(len(burst)))
-		results := make([]result, len(burst))
-		for i, r := range burst {
+		results = results[:0]
+		for _, r := range burst {
 			b, err := r.run(p)
-			results[i] = result{b: b, err: err}
+			results = append(results, result{b: b, err: err})
 		}
 		if err := p.checkpoint(); err != nil {
 			// The accesses happened in memory but their durability could
@@ -252,6 +258,8 @@ func (p *Proxy) scheduler() {
 		for i, r := range burst {
 			r.resp <- results[i]
 		}
+		clear(burst)
+		clear(results)
 	}
 }
 

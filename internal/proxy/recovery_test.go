@@ -90,8 +90,10 @@ func buildDurableProxy(t *testing.T, dir string, scheme string, seed int64) (*pr
 	return p, backing
 }
 
-func recValue(tag string, i int) block.Block {
-	b := block.New(recSize)
+func recValue(tag string, i int) block.Block { return recValueSized(tag, i, recSize) }
+
+func recValueSized(tag string, i, size int) block.Block {
+	b := block.New(size)
 	copy(b, fmt.Sprintf("%s-%04d", tag, i))
 	return b
 }
@@ -210,6 +212,83 @@ func TestDurableProxyCleanShutdown(t *testing.T) {
 	}
 	if !bytes.Equal(got, v) {
 		t.Fatalf("clean shutdown lost data: got %q want %q", got, v)
+	}
+}
+
+// TestJournalBytesPerCheckpoint is the CI gate on what one served DP-RAM
+// access costs the journal: the pending ciphertext plus the stash entries
+// the access changed, not the whole client state. The byte count is a pure
+// function of the seed, so it gates where wall-clock cannot. An access
+// leaves the stash alone with probability (1-p)², and when it does insert
+// or delete an entry the delta runs from the count field ahead of the stash
+// to that entry — half the stash on average, 2p of the time — which is what
+// the second record in the budget pays for.
+func TestJournalBytesPerCheckpoint(t *testing.T) {
+	const (
+		n           = 1 << 12
+		recordSize  = 1024
+		checkpoints = 2000
+	)
+	opts := dpram.Options{Rand: rng.New(15)}
+	physBS := dpram.ServerBlockSize(recordSize, opts)
+	mem, err := store.NewMem(n, physBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, _, err := proxy.OpenJournal(filepath.Join(t.TempDir(), "proxy.journal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := proxy.NewPipeline(mem)
+	db, err := block.NewDatabase(n, recordSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := dpram.Setup(db, pipe, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	state, err := scheme.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Append(proxy.Checkpoint{State: state}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.NewDurable(scheme, proxy.Options{Pipeline: pipe}, journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	start := journal.Size()
+	src := rng.New(16)
+	for q := 0; q < checkpoints; q++ {
+		i := src.Intn(n)
+		if q%2 == 0 {
+			_, err = p.Write(i, recValueSized("gate", q, recordSize))
+		} else {
+			_, err = p.Read(i)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Land the write before the next access, so every checkpoint holds
+		// exactly its own access's pending block and the count repeats.
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.Checkpoints(); got != checkpoints {
+		t.Fatalf("%d checkpoints for %d serial accesses", got, checkpoints)
+	}
+	mean := float64(journal.Size()-start) / checkpoints
+	budget := float64(2*physBS + 256)
+	t.Logf("journal grew %.0f B per checkpoint (budget %.0f, client state %d B)", mean, budget, len(state))
+	if mean > budget {
+		t.Fatalf("journal grows %.0f B per single-access checkpoint, budget %.0f B (2 ciphertexts + 256): the delta records have stopped tracking stash churn", mean, budget)
 	}
 }
 

@@ -923,7 +923,7 @@ func (d *Durable) appendAndSync(group []*walReq) error {
 	if d.opts.Sync != SyncNone {
 		t0 := time.Now()
 		obsWALAppend.Observe(t0.Sub(tAppend))
-		if err := datasync(d.wal); err != nil {
+		if err := Datasync(d.wal); err != nil {
 			return fmt.Errorf("store: syncing WAL: %w", err)
 		}
 		// EWMA (α = 1/4) of sync latency, read only by the committer;

@@ -7,11 +7,11 @@ import (
 	"syscall"
 )
 
-// datasync flushes file data (and the size metadata needed to reach it)
+// Datasync flushes file data (and the size metadata needed to reach it)
 // without forcing unrelated metadata out — fdatasync(2). On the WAL hot
 // path this is measurably cheaper than fsync on ext4 while giving the same
 // guarantee the commit protocol needs: the appended record bytes are on
 // stable storage before the batch is acknowledged.
-func datasync(f *os.File) error {
+func Datasync(f *os.File) error {
 	return syscall.Fdatasync(int(f.Fd()))
 }

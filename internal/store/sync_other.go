@@ -4,7 +4,7 @@ package store
 
 import "os"
 
-// datasync falls back to a full fsync on platforms without fdatasync.
-func datasync(f *os.File) error {
+// Datasync falls back to a full fsync on platforms without fdatasync.
+func Datasync(f *os.File) error {
 	return f.Sync()
 }
