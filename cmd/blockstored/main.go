@@ -33,11 +33,12 @@
 //     coin stream, each on its own scheduler — routing logical record u
 //     to partition u mod P. One scheme is one logical party whose
 //     accesses serialize; P schemes overlap whenever requests hit
-//     different partitions, trading a bounded extra leak (the partition
-//     index, a data-independent function of the logical address) for
-//     near-linear throughput in P. All partitions share ONE physical
-//     backing store (windowed by store.Offset), so -file/-data/-shards/
-//     -replicate compose unchanged. With -data, partition i checkpoints
+//     different partitions, for near-linear throughput in P. The price is
+//     a leak: P > 1 discloses log₂ P bits of every queried address (its
+//     partition index u mod P), so Theorem 6.1 holds only between query
+//     sequences with equal routing; the daemon logs this at startup. All
+//     partitions share ONE physical backing store (windowed by
+//     store.Offset), so -file/-data/-shards/-replicate compose unchanged. With -data, partition i checkpoints
 //     to DIR/proxy.p<i>.journal and the striping width is persisted in
 //     DIR/namespaces.json — a restart with a different -partitions (or
 //     scheme, or logical shape) is refused rather than permuting the
@@ -66,11 +67,12 @@
 // stop accepting, flush and checkpoint everything, exit — after which the
 // next start replays nothing.
 //
-// Usage:
+// Usage (92-byte slots hold one encrypted 64-byte DP-RAM record, the
+// -blocksize default):
 //
-//	blockstored -addr :9045 -slots 65536 -blocksize 112
-//	blockstored -addr :9045 -slots 65536 -blocksize 112 -file /var/lib/blocks.dat
-//	blockstored -addr :9045 -slots 65536 -blocksize 112 -data /var/lib/dpstore -shards 16 -namespaces 64
+//	blockstored -addr :9045 -slots 65536 -blocksize 92
+//	blockstored -addr :9045 -slots 65536 -blocksize 92 -file /var/lib/blocks.dat
+//	blockstored -addr :9045 -slots 65536 -blocksize 92 -data /var/lib/dpstore -shards 16 -namespaces 64
 //	blockstored -addr :9045 -slots 4096 -blocksize 64 -proxy dpram -data /var/lib/dpstore
 //	blockstored -addr :9040 -replicate 127.0.0.1:9041,127.0.0.1:9042,127.0.0.1:9043 -quorum 2
 package main
@@ -83,6 +85,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -109,14 +112,14 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:9045", "listen address")
 		slots       = flag.Int("slots", 1<<16, "number of block slots (default namespace, and default for created namespaces)")
-		blockSize   = flag.Int("blocksize", 112, "slot size in bytes (default namespace, and default for created namespaces)")
+		blockSize   = flag.Int("blocksize", dpram.ServerBlockSize(64, dpram.Options{}), "slot size in bytes (default namespace, and default for created namespaces; the default holds one encrypted 64-byte DP-RAM record)")
 		file        = flag.String("file", "", "optional path for a non-durable disk-backed store (created if missing; with -shards K, K files path.shard0 … are used)")
 		dataDir     = flag.String("data", "", "durable data directory: stores run on the crash-safe WAL engine, namespaces persist, -proxy state checkpoints, and restarts recover")
 		shards      = flag.Int("shards", 1, "stripe each store over this many independently locked sub-stores")
 		namespaces  = flag.Int("namespaces", 0, "max client-created namespaces (0 disables the open-to-create path)")
 		maxBytes    = flag.Int64("maxbytes", 1<<30, "per-namespace byte budget for client-requested shapes")
 		proxyMode   = flag.String("proxy", "", "serve a privacy proxy over the backing store: dpram or pathoram (empty = plain block server; -slots/-blocksize then describe the logical database)")
-		partitions  = flag.Int("partitions", 1, "stripe the -proxy tenant over this many independent scheme instances (logical record u routes to partition u mod P; leaks the partition index, overlaps accesses across partitions)")
+		partitions  = flag.Int("partitions", 1, "stripe the -proxy tenant over this many independent scheme instances, overlapping accesses across partitions (logical record u routes to partition u mod P: P > 1 discloses log₂ P bits of every queried address, and Theorem 6.1 holds only between query sequences with equal routing)")
 		seed        = flag.Int64("seed", 1, "scheme coin seed in -proxy mode, and read-replica selection seed in -replicate mode (deterministic for reproducible experiments)")
 		replicate   = flag.String("replicate", "", "comma-separated replica daemon addresses: serve as a cluster front door over them instead of hosting blocks locally")
 		quorum      = flag.Int("quorum", 0, "write quorum W in -replicate mode (0 = majority)")
@@ -154,6 +157,10 @@ func main() {
 	}
 	if *partitions > 1 && *proxyMode == "" {
 		log.Fatalf("blockstored: -partitions stripes scheme instances and needs -proxy (block namespaces stripe with -shards)")
+	}
+	if *partitions > 1 {
+		log.Printf("blockstored: -partitions %d discloses log₂ %d = %.2f bits of every queried address (its partition u mod %d); Theorem 6.1 holds only between query sequences with equal routing",
+			*partitions, *partitions, math.Log2(float64(*partitions)), *partitions)
 	}
 	if *file != "" && *dataDir != "" {
 		log.Fatalf("blockstored: -file and -data are mutually exclusive (-data subsumes the disk backend, durably)")

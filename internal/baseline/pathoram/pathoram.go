@@ -210,9 +210,9 @@ func Setup(db *block.Database, server store.Server, opts Options) (*ORAM, error)
 			var sl block.Block
 			if zi < len(ids) {
 				id := ids[zi]
-				sl = o.sealSlot(uint64(id), pm[id], db.Get(id))
+				sl = o.sealSlot(node*z+zi, uint64(id), pm[id], db.Get(id))
 			} else {
-				sl = o.sealSlot(dummyID, 0, nil)
+				sl = o.sealSlot(node*z+zi, dummyID, 0, nil)
 			}
 			if err := w.Add(node*z+zi, sl); err != nil {
 				return nil, fmt.Errorf("pathoram: setup upload: %w", err)
@@ -274,15 +274,15 @@ func stageSlot(pt block.Block, id uint64, pos int, payload block.Block) {
 	}
 }
 
-// sealSlot allocates and seals one slot — the setup path, where the batch
-// writer retains blocks until its flush.
-func (o *ORAM) sealSlot(id uint64, pos int, payload block.Block) block.Block {
+// sealSlot allocates and seals one slot bound to server address addr —
+// the setup path, where the batch writer retains blocks until its flush.
+func (o *ORAM) sealSlot(addr int, id uint64, pos int, payload block.Block) block.Block {
 	pt := block.New(o.slotPlain)
 	stageSlot(pt, id, pos, payload)
 	if o.plaintext {
 		return pt
 	}
-	return block.Block(o.cipher.Encrypt(pt))
+	return block.Block(o.cipher.Encrypt(pt, addr))
 }
 
 // ingestSlot parses a decrypted slot and moves a real, not-yet-stashed
@@ -401,19 +401,23 @@ func (o *ORAM) access(i int, mutate func(cur block.Block) block.Block) error {
 		}
 	}
 	o.addrBuf = addrs
+	// The remap already happened, but until the path is read and verified
+	// the block has not left its old path: on failure, roll the position
+	// back so a retry reads the right path. (For the recursive variant this
+	// costs one extra map access, on the failure path only.)
+	rollback := func(what string, err error) error {
+		if _, rerr := o.pos.Swap(i, oldLeaf); rerr != nil {
+			return fmt.Errorf("pathoram: %s: %v; position rollback failed: %w", what, err, rerr)
+		}
+		return fmt.Errorf("pathoram: %s: %w", what, err)
+	}
 	cts, err := o.server.ReadBatch(addrs)
 	if err != nil {
-		// The remap already happened but the block never left its old
-		// path: roll the position back so a retry reads the right path.
-		// (For the recursive variant this costs one extra map access, on
-		// the failure path only.)
-		if _, rerr := o.pos.Swap(i, oldLeaf); rerr != nil {
-			return fmt.Errorf("pathoram: path read: %v; position rollback failed: %w", err, rerr)
-		}
-		return fmt.Errorf("pathoram: path read: %w", err)
+		return rollback("path read", err)
 	}
-	// Open the whole path in one batch kernel call (verify-then-decrypt for
-	// every slot before any stash mutation), then ingest slot by slot.
+	// Open the whole path in one batch kernel call, each slot bound to its
+	// address (verify-then-decrypt for every slot before any stash
+	// mutation), then ingest slot by slot.
 	if o.plaintext {
 		for _, ct := range cts {
 			o.ingestSlot(ct)
@@ -424,9 +428,9 @@ func (o *ORAM) access(i int, mutate func(cur block.Block) block.Block) error {
 			view = append(view, ct)
 		}
 		o.ctView = view
-		pt, derr := o.cipher.OpenBatch(o.ptSlab[:0], view)
+		pt, derr := o.cipher.OpenBatch(o.ptSlab[:0], view, addrs...)
 		if derr != nil {
-			return fmt.Errorf("pathoram: decrypting slot: %w", derr)
+			return rollback("decrypting slot", derr)
 		}
 		o.ptSlab = pt
 		for k := range cts {
@@ -446,7 +450,7 @@ func (o *ORAM) access(i int, mutate func(cur block.Block) block.Block) error {
 	o.stash[i] = entry
 
 	// Write phase (eviction): deepest bucket first, greedy.
-	if err := o.evict(oldLeaf, path); err != nil {
+	if err := o.evict(oldLeaf, path, addrs); err != nil {
 		return err
 	}
 	o.roundTrips++
@@ -458,11 +462,13 @@ func (o *ORAM) access(i int, mutate func(cur block.Block) block.Block) error {
 // evict writes the path back, placing each stash block into the deepest
 // bucket its current position tag allows. All Z·(height+1) slot plaintexts
 // are staged contiguously in the slot slab, sealed with one SealBatch
-// kernel call (encrypted mode), and shipped as a single WriteBatch: one
-// round trip for the whole write phase. The op list, placement bookkeeping,
-// and slabs all come from per-ORAM scratch; see the ownership note on the
-// scratch fields for the failed-write handoff.
-func (o *ORAM) evict(leaf int, path []int) error {
+// kernel call (encrypted mode) bound to addrs — the path's slot addresses
+// in the read phase's order, which is also the order slots are staged in —
+// and shipped as a single WriteBatch: one round trip for the whole write
+// phase. The op list, placement bookkeeping, and slabs all come from
+// per-ORAM scratch; see the ownership note on the scratch fields for the
+// failed-write handoff.
+func (o *ORAM) evict(leaf int, path, addrs []int) error {
 	total := len(path) * o.z
 	ops := o.opBuf[:0]
 	evicted := o.evictBuf[:0]
@@ -504,7 +510,7 @@ func (o *ORAM) evict(leaf int, path []int) error {
 		}
 	}
 	if !o.plaintext {
-		o.ctSlab = o.cipher.SealBatch(o.ctSlab[:0], slab, total, o.slotPlain)
+		o.ctSlab = o.cipher.SealBatch(o.ctSlab[:0], slab, total, o.slotPlain, addrs...)
 		ctSize := crypto.CiphertextSize(o.slotPlain)
 		for k := range ops {
 			ops[k].Block = block.Block(o.ctSlab[k*ctSize : (k+1)*ctSize])

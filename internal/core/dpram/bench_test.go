@@ -62,7 +62,7 @@ func BenchmarkReadRetrievalOnly(b *testing.B) {
 
 func BenchmarkReadNoEncryption(b *testing.B) {
 	b.ReportAllocs()
-	// Ablation: how much of the query cost is AES+HMAC.
+	// Ablation: how much of the query cost is AES-GCM.
 	c := benchClient(b, 1<<12, Options{Rand: rng.New(1), DisableEncryption: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

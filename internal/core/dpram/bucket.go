@@ -95,7 +95,7 @@ func NewBucketRAM(server store.Server, buckets [][]int, initial []block.Block, p
 			}
 			pt = initial[a]
 		}
-		if err := w.Add(a, r.seal(pt)); err != nil {
+		if err := w.Add(a, r.seal(pt, a)); err != nil {
 			return nil, fmt.Errorf("dpram: setup upload: %w", err)
 		}
 	}
@@ -174,22 +174,23 @@ func buildBucketRAM(server store.Server, buckets [][]int, plainSize int, opts Bu
 	return r, nil
 }
 
-// seal encrypts a node into a fresh owned buffer — the setup path, where
-// the batch writer retains blocks until its flush.
-func (r *BucketRAM) seal(b block.Block) block.Block {
+// seal encrypts the node at address addr into a fresh owned buffer — the
+// setup path, where the batch writer retains blocks until its flush.
+func (r *BucketRAM) seal(b block.Block, addr int) block.Block {
 	if r.plaintext {
 		return b.Copy()
 	}
-	return block.Block(r.cipher.Encrypt(b))
+	return block.Block(r.cipher.Encrypt(b, addr))
 }
 
-// open decrypts a node into a fresh owned buffer (decodeBucket's contract:
-// the returned bucket contents are handed to the caller and the stash).
-func (r *BucketRAM) open(ct block.Block) (block.Block, error) {
+// open decrypts the node downloaded from addr into a fresh owned buffer
+// (decodeBucket's contract: the returned bucket contents are handed to the
+// caller and the stash).
+func (r *BucketRAM) open(ct block.Block, addr int) (block.Block, error) {
 	if r.plaintext {
 		return ct.Copy(), nil
 	}
-	pt, err := r.cipher.DecryptInto(make([]byte, 0, r.plainSize), ct)
+	pt, err := r.cipher.DecryptInto(make([]byte, 0, r.plainSize), ct, addr)
 	if err != nil {
 		return nil, fmt.Errorf("dpram: decrypting node: %w", err)
 	}
@@ -205,7 +206,7 @@ func (r *BucketRAM) sealBucket(ops []store.WriteOp, addrs []int, contents []bloc
 		pt = append(pt, b...)
 	}
 	r.ptSlab = pt
-	r.ctSlab = r.cipher.SealBatch(r.ctSlab[:0], pt, len(addrs), r.plainSize)
+	r.ctSlab = r.cipher.SealBatch(r.ctSlab[:0], pt, len(addrs), r.plainSize, addrs...)
 	ctSize := crypto.CiphertextSize(r.plainSize)
 	for k, a := range addrs {
 		ops = append(ops, store.WriteOp{Addr: a, Block: block.Block(r.ctSlab[k*ctSize : (k+1)*ctSize])})
@@ -223,12 +224,12 @@ func (r *BucketRAM) refreshBucket(ops []store.WriteOp, addrs []int, raw []block.
 		view = append(view, ct)
 	}
 	r.ctView = view
-	pt, err := r.cipher.OpenBatch(r.ptSlab[:0], view)
+	pt, err := r.cipher.OpenBatch(r.ptSlab[:0], view, addrs...)
 	if err != nil {
 		return nil, fmt.Errorf("dpram: decrypting node: %w", err)
 	}
 	r.ptSlab = pt
-	r.ctSlab = r.cipher.SealBatch(r.ctSlab[:0], pt, len(addrs), r.plainSize)
+	r.ctSlab = r.cipher.SealBatch(r.ctSlab[:0], pt, len(addrs), r.plainSize, addrs...)
 	ctSize := crypto.CiphertextSize(r.plainSize)
 	for k, a := range addrs {
 		ops = append(ops, store.WriteOp{Addr: a, Block: block.Block(r.ctSlab[k*ctSize : (k+1)*ctSize])})
@@ -271,7 +272,7 @@ func (r *BucketRAM) decodeBucket(bi int, raw []block.Block) ([]block.Block, erro
 			out[k] = d.Copy()
 			continue
 		}
-		pt, err := r.open(raw[k])
+		pt, err := r.open(raw[k], a)
 		if err != nil {
 			return nil, err
 		}
@@ -382,17 +383,13 @@ func (r *BucketRAM) Access(bi int, update func(nodes []block.Block)) ([]block.Bl
 
 	if update != nil {
 		update(contents)
-		// Coherence: overlapping stashed buckets (and, on a stash hit, this
-		// bucket's own stashed copy) must observe the update.
-		r.writeThrough(bi, contents)
 	}
 
 	// --- Overwrite phase (one round trip) ---
+	// Every node this query opens is opened before the stash or the dirty
+	// map changes, so a node that fails to open leaves both as they were.
 	ops := r.opScratch[:0]
 	if toStash {
-		if !stashedHit {
-			r.putInStash(bi, contents)
-		}
 		// Refresh bucket d2: re-encrypt the server's own blocks with fresh
 		// randomness — one OpenBatch + one SealBatch over all s nodes, the
 		// masking move of Algorithm 3's stash branch. In the plaintext mode
@@ -419,6 +416,14 @@ func (r *BucketRAM) Access(bi int, update func(nodes []block.Block)) ([]block.Bl
 		} else {
 			ops = r.sealBucket(ops, r.buckets[bi], contents)
 		}
+	}
+	if update != nil {
+		// Coherence: overlapping stashed buckets (and, on a stash hit, this
+		// bucket's own stashed copy) must observe the update.
+		r.writeThrough(bi, contents)
+	}
+	if toStash && !stashedHit {
+		r.putInStash(bi, contents)
 	}
 	r.opScratch = ops
 	err = r.server.WriteBatch(ops)

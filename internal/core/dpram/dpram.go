@@ -175,7 +175,7 @@ func Setup(db *block.Database, server store.Server, opts Options) (*Client, erro
 	// store.ScanWindow records, O(window) client memory at any n.
 	w := store.NewBatchWriter(cl.server)
 	for i := 0; i < n; i++ {
-		if err := w.Add(i, cl.seal(db.Get(i))); err != nil {
+		if err := w.Add(i, cl.seal(db.Get(i), i)); err != nil {
 			return nil, fmt.Errorf("dpram: setup upload: %w", err)
 		}
 		// Algorithm 2: pick r uniform from [N]; if r ≤ C, stash B_i.
@@ -190,54 +190,55 @@ func Setup(db *block.Database, server store.Server, opts Options) (*Client, erro
 	return cl, nil
 }
 
-// seal encrypts b into a fresh buffer — the setup path, where the batch
-// writer retains blocks until its flush.
-func (c *Client) seal(b block.Block) block.Block {
+// seal encrypts b for address addr into a fresh buffer — the setup path,
+// where the batch writer retains blocks until its flush.
+func (c *Client) seal(b block.Block, addr int) block.Block {
 	if c.plaintext {
 		return b.Copy()
 	}
-	return block.Block(c.cipher.Encrypt(b))
+	return block.Block(c.cipher.Encrypt(b, addr))
 }
 
-// sealScratch encrypts b into the per-query upload scratch, valid until the
-// next seal on this client. The write batch it feeds is issued before the
-// next query touches the scratch.
-func (c *Client) sealScratch(b block.Block) block.Block {
+// sealScratch encrypts b for address addr into the per-query upload
+// scratch, valid until the next seal on this client. The write batch it
+// feeds is issued before the next query touches the scratch.
+func (c *Client) sealScratch(b block.Block, addr int) block.Block {
 	if c.plaintext {
 		return b.Copy()
 	}
-	c.sealBuf = c.cipher.EncryptInto(c.sealBuf[:0], b)
+	c.sealBuf = c.cipher.EncryptInto(c.sealBuf[:0], b, addr)
 	return block.Block(c.sealBuf)
 }
 
-// refresh re-encrypts a downloaded block for upload with fresh randomness
-// (the masking move of Algorithm 3's stash branch), staging both halves in
-// the per-query scratch. In the plaintext modes re-encryption is the
-// identity, and the downloaded slab block — owned by this query — is
-// uploaded as-is, skipping the decrypt/encrypt copies on the measurement
-// hot path.
-func (c *Client) refresh(ct block.Block) (block.Block, error) {
+// refresh re-encrypts the block downloaded from addr for upload back to
+// addr with fresh randomness (the masking move of Algorithm 3's stash
+// branch), staging both halves in the per-query scratch. In the plaintext
+// modes re-encryption is the identity, and the downloaded slab block —
+// owned by this query — is uploaded as-is, skipping the decrypt/encrypt
+// copies on the measurement hot path.
+func (c *Client) refresh(ct block.Block, addr int) (block.Block, error) {
 	if c.plaintext {
 		return ct, nil
 	}
-	pt, err := c.cipher.DecryptInto(c.ptBuf[:0], ct)
+	pt, err := c.cipher.DecryptInto(c.ptBuf[:0], ct, addr)
 	if err != nil {
 		return nil, fmt.Errorf("dpram: decrypting: %w", err)
 	}
 	c.ptBuf = pt
-	c.sealBuf = c.cipher.EncryptInto(c.sealBuf[:0], pt)
+	c.sealBuf = c.cipher.EncryptInto(c.sealBuf[:0], pt, addr)
 	return block.Block(c.sealBuf), nil
 }
 
-// open decrypts ct into the per-query scratch; the result is valid until
-// the next open/refresh on this client, and callers that keep it (stash
-// insertion) copy it out first. The plaintext modes return an owned copy —
-// retrieval-only stashes the opened block directly.
-func (c *Client) open(ct block.Block) (block.Block, error) {
+// open decrypts the block downloaded from addr into the per-query scratch;
+// the result is valid until the next open/refresh on this client, and
+// callers that keep it (stash insertion) copy it out first. The plaintext
+// modes return an owned copy — retrieval-only stashes the opened block
+// directly.
+func (c *Client) open(ct block.Block, addr int) (block.Block, error) {
 	if c.plaintext {
 		return ct.Copy(), nil
 	}
-	pt, err := c.cipher.DecryptInto(c.ptBuf[:0], ct)
+	pt, err := c.cipher.DecryptInto(c.ptBuf[:0], ct, addr)
 	if err != nil {
 		return nil, fmt.Errorf("dpram: decrypting: %w", err)
 	}
@@ -351,7 +352,7 @@ func (c *Client) Access(q workload.Query) (block.Block, error) {
 	// of c.ptBuf, which refresh below will reuse.
 	cur, owned := stashed, true
 	if !hit {
-		pt, err := c.open(blocks[0])
+		pt, err := c.open(blocks[0], d1)
 		if err != nil {
 			return nil, err
 		}
@@ -378,24 +379,26 @@ func (c *Client) Access(q workload.Query) (block.Block, error) {
 
 	// --- Overwrite phase: one upload in one round trip ---
 	if toStash {
-		// Stash the record (overwriting the old entry on a stash hit);
-		// refresh the random address to mask the choice. The stash keeps
-		// blocks past the query, so a scratch-backed cur is copied out
-		// before refresh reuses the decrypt scratch.
+		// Refresh the random address to mask the choice, then stash the
+		// record (overwriting the old entry on a stash hit). The refresh
+		// opens d2 first, so a block that fails to open leaves the stash
+		// untouched. The stash keeps blocks past the query, so a
+		// scratch-backed cur is copied out before refresh reuses the
+		// decrypt scratch.
 		if !owned {
 			cur = cur.Copy()
 		}
-		c.stash[i] = cur
-		c.trackStash()
-		fresh, err := c.refresh(blocks[1])
+		fresh, err := c.refresh(blocks[1], d2)
 		if err != nil {
 			return nil, err
 		}
+		c.stash[i] = cur
+		c.trackStash()
 		c.opBuf[0] = store.WriteOp{Addr: d2, Block: fresh}
 	} else {
 		// Write the record home; the second downloaded block was the
 		// transcript-shaping re-read of A[i] and is discarded.
-		c.opBuf[0] = store.WriteOp{Addr: i, Block: c.sealScratch(cur)}
+		c.opBuf[0] = store.WriteOp{Addr: i, Block: c.sealScratch(cur, i)}
 	}
 	err = c.server.WriteBatch(c.opBuf[:])
 	c.opBuf[0] = store.WriteOp{}

@@ -6,10 +6,11 @@
 //
 // The concrete instantiations are stdlib-only:
 //
-//   - Enc/Dec: AES-256-CTR with a fresh IV per encryption, followed by
-//     HMAC-SHA256 over iv‖ciphertext (encrypt-then-MAC). CTR mode with
-//     non-repeating IVs is IND-CPA; the MAC additionally gives ciphertext
-//     integrity, which the paper does not need but any deployment would.
+//   - Enc/Dec: AES-256-GCM with a 12-byte counter nonce and the record's
+//     physical slot address as additional data. GCM with unique nonces is
+//     IND-CPA; its tag additionally gives ciphertext integrity, which the
+//     paper does not need but any deployment would, and binding the slot
+//     address makes a block served from the wrong slot fail to open.
 //   - PRF: HMAC-SHA256 truncated to 64 bits.
 //
 // The privacy proofs only use that re-encryptions of the same plaintext are
@@ -21,22 +22,19 @@
 // Z·(height+1) blocks), so this package is built as a batched,
 // allocation-free kernel layer:
 //
-//   - The AES-256 key schedule is expanded once in NewCipher and the HMAC
-//     inner/outer pads are keyed once per pooled MAC state; Encrypt/Decrypt
-//     no longer pay aes.NewCipher + hmac.New per call, and the impossible
-//     "invalid key size on a derived 32-byte key" error path is gone.
+//   - The AES-256 key schedule and GHASH key are expanded once in
+//     NewCipher, and the PRF's HMAC pads are keyed once per pooled state.
 //   - EncryptInto/DecryptInto/SealBatch/OpenBatch append into
 //     caller-provided slabs. Ownership follows the store-layer slab rule:
 //     the returned slice (re)uses the caller's backing array, and the
 //     caller must not hand out sub-slices it plans to overwrite while
 //     consumers hold them.
-//   - IVs come from a per-Cipher 64-bit random prefix plus a keystream
-//     block counter instead of a crypto/rand read per block (see nextIV for
-//     the uniqueness argument). SetIVReader still overrides the source for
+//   - Nonces are a per-Cipher random 96-bit start plus an atomic counter
+//     instead of a crypto/rand read per block (see nextNonce for the
+//     uniqueness argument). SetIVReader still overrides the source for
 //     seeded tests.
-//   - SealBatch/OpenBatch fan records across min(GOMAXPROCS, count/8)
-//     goroutines once a batch reaches batchCutover records, and run inline
-//     below it, so single-core hosts never pay the handoff.
+//   - SealBatch/OpenBatch run every record inline: one Path ORAM path of
+//     GCM records seals faster than a goroutine handoff costs.
 package crypto
 
 import (
@@ -45,13 +43,11 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"io"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -59,31 +55,20 @@ import (
 )
 
 const (
-	// KeySize is the master key length in bytes. The master key is split
-	// into an AES-256 encryption key and a MAC key via domain-separated
-	// HMAC, so 32 bytes of entropy suffice.
-	KeySize = 32
-	ivSize  = aes.BlockSize
-	macSize = sha256.Size
-	// Overhead is the ciphertext expansion in bytes: IV plus MAC tag.
-	Overhead = ivSize + macSize
-
-	// ctrInline is the payload size up to which CTR runs as a manual
-	// block-at-a-time loop over the pre-expanded cipher (zero allocations;
-	// faster than the stream object below ~2 AES blocks of setup cost).
-	// Larger payloads use cipher.NewCTR: one small stream allocation buys
-	// the vectorized multi-block keystream path, a 4–7× throughput win at
-	// 1 KiB and above. Scheme blocks (64–128 B) stay on the inline path.
-	ctrInline = 128
-
-	// batchCutover is the record count at which SealBatch/OpenBatch fan out
-	// to worker goroutines. Below it (and always at GOMAXPROCS = 1) the
-	// batch runs inline: the goroutine handoff costs more than sealing a
-	// handful of small blocks.
-	batchCutover = 16
+	// KeySize is the master key length in bytes. The AES-256 key and every
+	// PRF key are derived from it via domain-separated HMAC, so 32 bytes of
+	// entropy suffice.
+	KeySize   = 32
+	nonceSize = 12
+	tagSize   = 16
+	adSize    = 8
+	// Overhead is the ciphertext expansion in bytes: nonce plus GCM tag.
+	Overhead = nonceSize + tagSize
 )
 
-// ErrAuth reports a ciphertext whose MAC did not verify.
+// ErrAuth reports a ciphertext whose tag did not verify: tampered,
+// truncated past its tag, sealed under another key, or opened at an
+// address other than the one it was sealed for.
 var ErrAuth = errors.New("crypto: message authentication failed")
 
 // Key is a client-held master secret.
@@ -117,43 +102,32 @@ func derive(k Key, label string) []byte {
 	return mac.Sum(nil)
 }
 
-// macState is the pooled per-goroutine working set of one seal/open: a
-// pre-keyed HMAC (Reset restores the cached pads without re-deriving them)
-// plus fixed scratch for the tag, the CTR counter block, the inline
-// keystream, and integer PRF inputs. The scratch lives here rather than on
-// the stack because it is passed through hash.Hash/cipher.Block interface
-// calls, which would otherwise force a heap escape per call.
-type macState struct {
-	mac hash.Hash
-	sum [macSize]byte
-	ctr [aes.BlockSize]byte
-	ks  [ctrInline]byte
-	num [8]byte
-}
-
-// Cipher is the (Enc, Dec) pair of Section 6. The key schedule and MAC pads
-// are expanded once at construction; per-call state comes from an internal
-// pool, so a Cipher is safe for concurrent use and allocation-free on the
-// *Into paths.
+// Cipher is the (Enc, Dec) pair of Section 6: AES-256-GCM whose additional
+// data is the record's slot address. The AEAD is built once at
+// construction; the 8-byte address scratch comes from an internal pool,
+// because a stack array passed through the cipher.AEAD interface escapes
+// to the heap. A Cipher is safe for concurrent use and allocation-free on
+// the *Into and batch paths.
 type Cipher struct {
-	block  cipher.Block
-	macKey []byte
-	states sync.Pool
+	aead cipher.AEAD
+	ads  sync.Pool // *[adSize]byte
 
-	// IV state: iv = ivPrefix ‖ counter, where the counter advances by the
-	// number of keystream blocks each message consumes (see nextIV).
-	ivPrefix uint64
-	ivCtr    atomic.Uint64
-	// ivOverride, when set, supplies raw 16-byte IVs instead; tests use it
-	// to pin seeded transcripts.
+	// Nonce state: nonce = start + ctr (mod 2⁹⁶), big-endian, where start
+	// is drawn at random per instance and ctr advances by one per seal.
+	startHi uint32
+	startLo uint64
+	ctr     atomic.Uint64
+	// ivOverride, when set, supplies raw 12-byte nonces instead; tests use
+	// it to pin seeded transcripts.
 	ivOverride io.Reader
 }
 
-// NewCipher builds a Cipher from a master key, expanding the AES key
-// schedule once and drawing a fresh random IV prefix. Every NewCipher call
-// — including Resume paths and key rotation, which always reconstruct the
-// Cipher — gets an independent prefix, so counter IVs never collide across
-// instances except with probability ≤ q²/2⁶⁴ for q instances.
+// NewCipher builds a Cipher from a master key, expanding the AES-GCM key
+// schedule once and drawing a fresh random 96-bit nonce start. Every
+// NewCipher call — including Resume paths, key rotation and partitions,
+// which always construct their own Cipher — gets an independent start;
+// DESIGN.md §"Crypto kernels" bounds the chance that two instances' nonce
+// ranges overlap.
 func NewCipher(k Key) *Cipher {
 	blk, err := aes.NewCipher(derive(k, "dpstore/enc"))
 	if err != nil {
@@ -161,230 +135,181 @@ func NewCipher(k Key) *Cipher {
 		// always returns 32 bytes.
 		panic("crypto: aes.NewCipher rejected a derived 32-byte key: " + err.Error())
 	}
-	c := &Cipher{block: blk, macKey: derive(k, "dpstore/mac")}
-	var p [8]byte
-	rand.Read(p[:]) // never fails (crypto/rand aborts the process instead)
-	c.ivPrefix = binary.BigEndian.Uint64(p[:])
-	c.states.New = func() any { return &macState{mac: hmac.New(sha256.New, c.macKey)} }
+	aead, err := cipher.NewGCM(blk)
+	if err != nil {
+		panic("crypto: cipher.NewGCM rejected AES: " + err.Error())
+	}
+	c := &Cipher{aead: aead}
+	c.ads.New = func() any { return new([adSize]byte) }
+	var s [nonceSize]byte
+	rand.Read(s[:]) // never fails (crypto/rand aborts the process instead)
+	c.startHi = binary.BigEndian.Uint32(s[:4])
+	c.startLo = binary.BigEndian.Uint64(s[4:])
 	return c
 }
 
-// SetIVReader replaces the IV source with raw 16-byte reads from r. Only
-// tests should call it: it trades the counter's uniqueness guarantee for
-// reproducibility. While set, batch kernels run serially so IVs are drawn
-// in record order, and a read failure panics (a misconfigured test, not a
-// runtime condition).
+// SetIVReader replaces the nonce source with raw 12-byte reads from r.
+// Only tests should call it: it trades the counter's uniqueness guarantee
+// for reproducibility. Records draw their nonces in record order, batch or
+// not, and a read failure panics (a misconfigured test, not a runtime
+// condition).
 func (c *Cipher) SetIVReader(r io.Reader) { c.ivOverride = r }
 
 // CiphertextSize returns the ciphertext length for a plaintext of the given
 // length.
 func CiphertextSize(plaintextLen int) int { return plaintextLen + Overhead }
 
-// nextIV writes the IV for a message of n plaintext bytes into iv[:ivSize].
+// nextNonce writes the nonce of the next seal into nonce[:nonceSize].
 //
-// The IV is prefix ‖ counter with both halves big-endian, and the counter
-// is advanced by ⌈n/16⌉ (min 1) — the number of keystream blocks CTR will
-// derive from this IV by incrementing it. Claiming the whole range is what
-// makes the argument exact: two messages from one Cipher occupy disjoint
-// counter ranges, so no keystream block is ever reused within an instance
-// (the CTR analogue of nonce uniqueness), and messages from different
-// instances collide only if their random prefixes do. A counter wrap would
-// need 2⁶⁴ keystream blocks (2⁶⁸ bytes) through one instance.
-func (c *Cipher) nextIV(iv []byte, n int) {
+// The nonce is start + ctr (mod 2⁹⁶) in big-endian, where ctr is this
+// instance's atomic seal counter. Within one instance the nonces are
+// therefore distinct until ctr wraps at 2⁶⁴ seals; across instances under
+// one key they collide only if two random starts land within one
+// instance's seal count of each other.
+func (c *Cipher) nextNonce(nonce []byte) {
 	if r := c.ivOverride; r != nil {
-		if _, err := io.ReadFull(r, iv[:ivSize]); err != nil {
+		if _, err := io.ReadFull(r, nonce[:nonceSize]); err != nil {
 			panic("crypto: test IV reader failed: " + err.Error())
 		}
 		return
 	}
-	nb := uint64(n+aes.BlockSize-1) / aes.BlockSize
-	if nb == 0 {
-		nb = 1
+	ctr := c.ctr.Add(1) - 1
+	lo := c.startLo + ctr
+	hi := c.startHi
+	if lo < ctr {
+		hi++ // carry out of the low 64 bits; the high 32 wrap mod 2³²
 	}
-	start := c.ivCtr.Add(nb) - nb
-	binary.BigEndian.PutUint64(iv[:8], c.ivPrefix)
-	binary.BigEndian.PutUint64(iv[8:ivSize], start)
+	binary.BigEndian.PutUint32(nonce[:4], hi)
+	binary.BigEndian.PutUint64(nonce[4:nonceSize], lo)
 }
 
-// ctrXOR applies the CTR keystream for iv to src, writing into dst
-// (len(dst) == len(src)). Payloads at or below ctrInline run block-by-block
-// over the pre-expanded cipher with scratch from st; larger ones use the
-// stdlib stream for its vectorized keystream.
-func (c *Cipher) ctrXOR(st *macState, iv, dst, src []byte) {
-	n := len(src)
-	if n == 0 {
-		return
-	}
-	if n > ctrInline {
-		cipher.NewCTR(c.block, iv).XORKeyStream(dst, src)
-		return
-	}
-	copy(st.ctr[:], iv)
-	for off := 0; off < n; off += aes.BlockSize {
-		c.block.Encrypt(st.ks[off:off+aes.BlockSize], st.ctr[:])
-		// 128-bit big-endian increment, matching cipher.NewCTR.
-		for i := aes.BlockSize - 1; i >= 0; i-- {
-			st.ctr[i]++
-			if st.ctr[i] != 0 {
-				break
-			}
-		}
-	}
-	subtle.XORBytes(dst, src, st.ks[:n])
+// sealTo writes nonce ‖ GCM(pt, ad) into out, which must be exactly
+// CiphertextSize(len(pt)) bytes.
+func (c *Cipher) sealTo(ad *[adSize]byte, out, pt []byte, addr int) {
+	binary.BigEndian.PutUint64(ad[:], uint64(addr))
+	c.nextNonce(out[:nonceSize])
+	c.aead.Seal(out[nonceSize:nonceSize], out[:nonceSize], pt, ad[:])
 }
 
-// sealTo writes iv ‖ CTR(pt) ‖ HMAC(iv‖ct) into out, which must be exactly
-// CiphertextSize(len(pt)) bytes with that much capacity.
-func (c *Cipher) sealTo(st *macState, out, pt []byte) {
-	n := len(pt)
-	c.nextIV(out[:ivSize], n)
-	c.ctrXOR(st, out[:ivSize], out[ivSize:ivSize+n], pt)
-	st.mac.Reset()
-	st.mac.Write(out[:ivSize+n])
-	st.mac.Sum(out[:ivSize+n]) // appends the tag in place; out has capacity
-}
-
-// openTo verifies ct and decrypts its payload into dst, which must be
-// exactly len(ct)-Overhead bytes. Nothing is written before the MAC checks.
-func (c *Cipher) openTo(st *macState, dst, ct []byte) error {
+// openTo verifies ct against addr and decrypts its payload into dst, which
+// must be exactly len(ct)-Overhead bytes. GCM checks the tag before it
+// releases any plaintext.
+func (c *Cipher) openTo(ad *[adSize]byte, dst, ct []byte, addr int) error {
 	if len(ct) < Overhead {
 		return fmt.Errorf("crypto: ciphertext too short (%d bytes)", len(ct))
 	}
-	body := ct[:len(ct)-macSize]
-	tag := ct[len(ct)-macSize:]
-	st.mac.Reset()
-	st.mac.Write(body)
-	if !hmac.Equal(st.mac.Sum(st.sum[:0]), tag) {
+	binary.BigEndian.PutUint64(ad[:], uint64(addr))
+	if _, err := c.aead.Open(dst[:0], ct[:nonceSize], ct[nonceSize:], ad[:]); err != nil {
 		return ErrAuth
 	}
-	c.ctrXOR(st, body[:ivSize], dst, body[ivSize:])
 	return nil
 }
 
-// EncryptInto appends the encryption of plaintext to dst and returns the
-// extended slice, allocating only if dst lacks capacity. Each call draws a
-// fresh IV, so re-encrypting the same block yields an independent-looking
-// ciphertext — the property DP-RAM's overwrite phase relies on.
-func (c *Cipher) EncryptInto(dst, plaintext []byte) []byte {
+// EncryptInto appends the encryption of plaintext, bound to slot address
+// addr, to dst and returns the extended slice, allocating only if dst lacks
+// capacity. Each call draws a fresh nonce, so re-encrypting the same block
+// yields an independent-looking ciphertext — the property DP-RAM's
+// overwrite phase relies on.
+func (c *Cipher) EncryptInto(dst, plaintext []byte, addr int) []byte {
 	n := len(dst)
 	ctSize := CiphertextSize(len(plaintext))
 	dst = slices.Grow(dst, ctSize)[:n+ctSize]
-	st := c.states.Get().(*macState)
-	c.sealTo(st, dst[n:], plaintext)
-	c.states.Put(st)
+	ad := c.ads.Get().(*[adSize]byte)
+	c.sealTo(ad, dst[n:], plaintext, addr)
+	c.ads.Put(ad)
 	return dst
 }
 
-// Encrypt returns iv ‖ CTR(plaintext) ‖ HMAC(iv‖ct) in a fresh buffer.
-func (c *Cipher) Encrypt(plaintext []byte) []byte {
-	return c.EncryptInto(make([]byte, 0, CiphertextSize(len(plaintext))), plaintext)
+// Encrypt returns nonce ‖ GCM(plaintext, addr) in a fresh buffer.
+func (c *Cipher) Encrypt(plaintext []byte, addr int) []byte {
+	return c.EncryptInto(make([]byte, 0, CiphertextSize(len(plaintext))), plaintext, addr)
 }
 
-// DecryptInto verifies ct and appends its plaintext to dst, returning the
-// extended slice. On failure dst is returned at its original length with
-// nothing appended.
-func (c *Cipher) DecryptInto(dst, ct []byte) ([]byte, error) {
+// DecryptInto verifies that ct was sealed for slot address addr and
+// appends its plaintext to dst, returning the extended slice. On failure
+// dst is returned at its original length with nothing appended.
+func (c *Cipher) DecryptInto(dst, ct []byte, addr int) ([]byte, error) {
 	if len(ct) < Overhead {
 		return dst, fmt.Errorf("crypto: ciphertext too short (%d bytes)", len(ct))
 	}
 	n := len(dst)
 	pn := len(ct) - Overhead
 	grown := slices.Grow(dst, pn)[:n+pn]
-	st := c.states.Get().(*macState)
-	err := c.openTo(st, grown[n:], ct)
-	c.states.Put(st)
+	ad := c.ads.Get().(*[adSize]byte)
+	err := c.openTo(ad, grown[n:], ct, addr)
+	c.ads.Put(ad)
 	if err != nil {
 		return dst, err
 	}
 	return grown, nil
 }
 
-// Decrypt verifies and opens a ciphertext produced by Encrypt.
-func (c *Cipher) Decrypt(ct []byte) ([]byte, error) {
+// Decrypt verifies and opens a ciphertext produced by Encrypt for addr.
+func (c *Cipher) Decrypt(ct []byte, addr int) ([]byte, error) {
 	if len(ct) < Overhead {
 		return nil, fmt.Errorf("crypto: ciphertext too short (%d bytes)", len(ct))
 	}
-	out, err := c.DecryptInto(make([]byte, 0, len(ct)-Overhead), ct)
+	out, err := c.DecryptInto(make([]byte, 0, len(ct)-Overhead), ct, addr)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// batchWorkers decides the fan-out for a batch of count records. Sealing
-// under an IV override always runs inline so the override reader sees one
-// draw per record in record order.
-func (c *Cipher) batchWorkers(count int, sealing bool) int {
-	if count < batchCutover || (sealing && c.ivOverride != nil) {
-		return 1
+// checkAddrs panics unless a batch of count records names no addresses or
+// exactly one per record — a caller bug, not a property of server data.
+func checkAddrs(addrs []int, count int) {
+	if len(addrs) != 0 && len(addrs) != count {
+		panic(fmt.Sprintf("crypto: batch of %d records with %d addresses", count, len(addrs)))
 	}
-	w := runtime.GOMAXPROCS(0)
-	if lim := count / (batchCutover / 2); w > lim {
-		w = lim // at least ~8 records per worker
+}
+
+// slotAddr returns the address record k of a batch is bound to: addrs[k],
+// or k itself when the caller passed no addresses.
+func slotAddr(addrs []int, k int) int {
+	if len(addrs) == 0 {
+		return k
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return addrs[k]
 }
 
 // SealBatch encrypts count records of recSize bytes laid out contiguously
 // in src (len(src) == count·recSize) and appends their ciphertexts to dst,
-// contiguous in record order. Records are sealed independently — the result
-// is byte-identical to count EncryptInto calls in order when the IV source
-// is overridden, and IV-unique regardless. Batches of batchCutover or more
-// records fan out across up to GOMAXPROCS workers.
-func (c *Cipher) SealBatch(dst, src []byte, count, recSize int) []byte {
+// contiguous in record order. Record k is bound to addrs[k]; with no addrs
+// it is bound to k. The result is byte-identical to count EncryptInto calls
+// in order when the nonce source is overridden, and nonce-unique
+// regardless.
+func (c *Cipher) SealBatch(dst, src []byte, count, recSize int, addrs ...int) []byte {
 	if count < 0 || recSize < 0 || count*recSize != len(src) {
 		panic(fmt.Sprintf("crypto: SealBatch of %d×%d over %d bytes", count, recSize, len(src)))
 	}
 	if count == 0 {
 		return dst
 	}
+	checkAddrs(addrs, count)
 	obsSealBatch.Record(int64(count))
 	ctSize := CiphertextSize(recSize)
 	n := len(dst)
 	dst = slices.Grow(dst, count*ctSize)[:n+count*ctSize]
 	out := dst[n:]
-	workers := c.batchWorkers(count, true)
-	if workers == 1 {
-		st := c.states.Get().(*macState)
-		for k := 0; k < count; k++ {
-			c.sealTo(st, out[k*ctSize:(k+1)*ctSize], src[k*recSize:(k+1)*recSize])
-		}
-		c.states.Put(st)
-		return dst
+	ad := c.ads.Get().(*[adSize]byte)
+	for k := 0; k < count; k++ {
+		c.sealTo(ad, out[k*ctSize:(k+1)*ctSize], src[k*recSize:(k+1)*recSize], slotAddr(addrs, k))
 	}
-	var wg sync.WaitGroup
-	chunk := (count + workers - 1) / workers
-	for lo := 0; lo < count; lo += chunk {
-		hi := lo + chunk
-		if hi > count {
-			hi = count
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			st := c.states.Get().(*macState)
-			for k := lo; k < hi; k++ {
-				c.sealTo(st, out[k*ctSize:(k+1)*ctSize], src[k*recSize:(k+1)*recSize])
-			}
-			c.states.Put(st)
-		}(lo, hi)
-	}
-	wg.Wait()
+	c.ads.Put(ad)
 	return dst
 }
 
 // OpenBatch verifies and decrypts a batch of equal-length ciphertexts,
-// appending the plaintexts to dst contiguous in record order. On failure
-// dst is returned at its original length and the error names the
-// lowest-index bad record (deterministic even under the parallel path).
-func (c *Cipher) OpenBatch(dst []byte, cts [][]byte) ([]byte, error) {
+// record k against addrs[k] (or k with no addrs), appending the plaintexts
+// to dst contiguous in record order. On failure dst is returned at its
+// original length and the error names the lowest-index bad record.
+func (c *Cipher) OpenBatch(dst []byte, cts [][]byte, addrs ...int) ([]byte, error) {
 	count := len(cts)
 	if count == 0 {
 		return dst, nil
 	}
+	checkAddrs(addrs, count)
 	obsOpenBatch.Record(int64(count))
 	ctSize := len(cts[0])
 	if ctSize < Overhead {
@@ -399,60 +324,30 @@ func (c *Cipher) OpenBatch(dst []byte, cts [][]byte) ([]byte, error) {
 	n := len(dst)
 	grown := slices.Grow(dst, count*pn)[:n+count*pn]
 	out := grown[n:]
-	workers := c.batchWorkers(count, false)
-	if workers == 1 {
-		st := c.states.Get().(*macState)
-		for k := 0; k < count; k++ {
-			if err := c.openTo(st, out[k*pn:(k+1)*pn], cts[k]); err != nil {
-				c.states.Put(st)
-				return dst, fmt.Errorf("crypto: batch record %d: %w", k, err)
-			}
+	ad := c.ads.Get().(*[adSize]byte)
+	defer c.ads.Put(ad)
+	for k := 0; k < count; k++ {
+		if err := c.openTo(ad, out[k*pn:(k+1)*pn], cts[k], slotAddr(addrs, k)); err != nil {
+			return dst, fmt.Errorf("crypto: batch record %d: %w", k, err)
 		}
-		c.states.Put(st)
-		return grown, nil
-	}
-	chunk := (count + workers - 1) / workers
-	errIdx := make([]int, 0, workers)
-	errs := make([]error, 0, workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for lo := 0; lo < count; lo += chunk {
-		hi := lo + chunk
-		if hi > count {
-			hi = count
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			st := c.states.Get().(*macState)
-			for k := lo; k < hi; k++ {
-				if err := c.openTo(st, out[k*pn:(k+1)*pn], cts[k]); err != nil {
-					mu.Lock()
-					errIdx = append(errIdx, k)
-					errs = append(errs, err)
-					mu.Unlock()
-					break // later records in this chunk can't lower the index
-				}
-			}
-			c.states.Put(st)
-		}(lo, hi)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		first := 0
-		for i := range errIdx {
-			if errIdx[i] < errIdx[first] {
-				first = i
-			}
-		}
-		return dst, fmt.Errorf("crypto: batch record %d: %w", errIdx[first], errs[first])
 	}
 	return grown, nil
 }
 
+// macState is the PRF's pooled per-goroutine working set: a pre-keyed HMAC
+// (Reset restores the cached pads without re-deriving them) plus fixed
+// scratch for the sum and integer inputs. The scratch lives here rather
+// than on the stack because it is passed through hash.Hash interface calls,
+// which would otherwise force a heap escape per call.
+type macState struct {
+	mac hash.Hash
+	sum [sha256.Size]byte
+	num [8]byte
+}
+
 // PRF is the keyed function F of Section 7.2. Two independently keyed PRFs
-// define the two bucket choices of the mapping function Π. Like Cipher, the
-// HMAC pads are keyed once and per-call state is pooled, so evaluation is
+// define the two bucket choices of the mapping function Π. The HMAC pads
+// are keyed once and per-call state is pooled, so evaluation is
 // allocation-free and safe for concurrent use.
 type PRF struct {
 	key    []byte

@@ -13,8 +13,8 @@ import (
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	c := NewCipher(KeyFromSeed(1))
-	f := func(pt []byte) bool {
-		got, err := c.Decrypt(c.Encrypt(pt))
+	f := func(pt []byte, addr uint32) bool {
+		got, err := c.Decrypt(c.Encrypt(pt, int(addr)), int(addr))
 		if err != nil {
 			return false
 		}
@@ -28,10 +28,13 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 func TestCiphertextSize(t *testing.T) {
 	c := NewCipher(KeyFromSeed(2))
 	for _, n := range []int{0, 1, 16, 64, 1000} {
-		ct := c.Encrypt(make([]byte, n))
+		ct := c.Encrypt(make([]byte, n), 0)
 		if len(ct) != CiphertextSize(n) {
 			t.Fatalf("ciphertext of %d-byte plaintext is %d bytes, want %d", n, len(ct), CiphertextSize(n))
 		}
+	}
+	if Overhead != 28 {
+		t.Fatalf("Overhead = %d, want 12-byte nonce + 16-byte tag", Overhead)
 	}
 }
 
@@ -40,26 +43,26 @@ func TestFreshRandomnessPerEncryption(t *testing.T) {
 	// DP-RAM's overwrite phase depends on.
 	c := NewCipher(KeyFromSeed(3))
 	pt := []byte("same plaintext every time......")
-	if bytes.Equal(c.Encrypt(pt), c.Encrypt(pt)) {
+	if bytes.Equal(c.Encrypt(pt, 5), c.Encrypt(pt, 5)) {
 		t.Fatal("two encryptions of the same plaintext are identical")
 	}
 }
 
 func TestTamperDetection(t *testing.T) {
 	c := NewCipher(KeyFromSeed(4))
-	ct := c.Encrypt([]byte("hello world, this is a record"))
-	for _, pos := range []int{0, ivSize, len(ct) - 1} {
+	ct := c.Encrypt([]byte("hello world, this is a record"), 9)
+	for _, pos := range []int{0, nonceSize, len(ct) - 1} {
 		bad := append([]byte(nil), ct...)
 		bad[pos] ^= 1
-		if _, err := c.Decrypt(bad); err == nil {
-			t.Fatalf("tampering at byte %d went undetected", pos)
+		if _, err := c.Decrypt(bad, 9); !errors.Is(err, ErrAuth) {
+			t.Fatalf("tampering at byte %d: got %v, want ErrAuth", pos, err)
 		}
 	}
 }
 
 func TestDecryptTooShort(t *testing.T) {
 	c := NewCipher(KeyFromSeed(5))
-	if _, err := c.Decrypt(make([]byte, Overhead-1)); err == nil {
+	if _, err := c.Decrypt(make([]byte, Overhead-1), 0); err == nil {
 		t.Fatal("short ciphertext accepted")
 	}
 }
@@ -67,8 +70,25 @@ func TestDecryptTooShort(t *testing.T) {
 func TestWrongKeyFails(t *testing.T) {
 	a := NewCipher(KeyFromSeed(6))
 	b := NewCipher(KeyFromSeed(7))
-	if _, err := b.Decrypt(a.Encrypt([]byte("secret record"))); err == nil {
+	if _, err := b.Decrypt(a.Encrypt([]byte("secret record"), 0), 0); err == nil {
 		t.Fatal("decryption under wrong key succeeded")
+	}
+}
+
+func TestWrongAddressFails(t *testing.T) {
+	// A ciphertext served from any slot but its own must not open: this is
+	// what turns a striping, rebase or resync bug (or a malicious swap) into
+	// ErrAuth instead of another record's plaintext.
+	c := NewCipher(KeyFromSeed(8))
+	pt := []byte("record sealed for slot 7")
+	ct := c.Encrypt(pt, 7)
+	for _, addr := range []int{0, 6, 8, 7 + 1<<32, -7} {
+		if got, err := c.Decrypt(ct, addr); !errors.Is(err, ErrAuth) || got != nil {
+			t.Fatalf("opening slot 7's ciphertext at %d: got (%q, %v), want ErrAuth", addr, got, err)
+		}
+	}
+	if got, err := c.Decrypt(ct, 7); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("opening at its own slot: %v", err)
 	}
 }
 
@@ -76,14 +96,14 @@ func TestEncryptIntoAppendSemantics(t *testing.T) {
 	c := NewCipher(KeyFromSeed(20))
 	prefix := []byte("existing-prefix")
 	pt := []byte("a record body of some length")
-	dst := c.EncryptInto(append([]byte(nil), prefix...), pt)
+	dst := c.EncryptInto(append([]byte(nil), prefix...), pt, 3)
 	if !bytes.HasPrefix(dst, prefix) {
 		t.Fatal("EncryptInto clobbered the existing dst prefix")
 	}
 	if len(dst) != len(prefix)+CiphertextSize(len(pt)) {
 		t.Fatalf("EncryptInto appended %d bytes, want %d", len(dst)-len(prefix), CiphertextSize(len(pt)))
 	}
-	got, err := c.Decrypt(dst[len(prefix):])
+	got, err := c.Decrypt(dst[len(prefix):], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +114,8 @@ func TestEncryptIntoAppendSemantics(t *testing.T) {
 	// Steady-state reuse: the second call into recycled capacity must not
 	// reallocate and must still round-trip.
 	buf := dst[:0]
-	buf = c.EncryptInto(buf, pt)
-	if got, err := c.Decrypt(buf); err != nil || !bytes.Equal(got, pt) {
+	buf = c.EncryptInto(buf, pt, 3)
+	if got, err := c.Decrypt(buf, 3); err != nil || !bytes.Equal(got, pt) {
 		t.Fatalf("reused-capacity EncryptInto broke the round trip: %v", err)
 	}
 }
@@ -103,9 +123,9 @@ func TestEncryptIntoAppendSemantics(t *testing.T) {
 func TestDecryptIntoAppendSemantics(t *testing.T) {
 	c := NewCipher(KeyFromSeed(21))
 	pt := []byte("payload payload payload")
-	ct := c.Encrypt(pt)
+	ct := c.Encrypt(pt, 11)
 	prefix := []byte("kept")
-	dst, err := c.DecryptInto(append([]byte(nil), prefix...), ct)
+	dst, err := c.DecryptInto(append([]byte(nil), prefix...), ct, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +137,7 @@ func TestDecryptIntoAppendSemantics(t *testing.T) {
 	bad := append([]byte(nil), ct...)
 	bad[len(bad)-1] ^= 1
 	orig := append([]byte(nil), prefix...)
-	dst, err = c.DecryptInto(orig, bad)
+	dst, err = c.DecryptInto(orig, bad, 11)
 	if !errors.Is(err, ErrAuth) {
 		t.Fatalf("tampered ciphertext: got err %v, want ErrAuth", err)
 	}
@@ -128,11 +148,11 @@ func TestDecryptIntoAppendSemantics(t *testing.T) {
 
 func TestEncryptZeroLengthPlaintext(t *testing.T) {
 	c := NewCipher(KeyFromSeed(22))
-	ct := c.Encrypt(nil)
+	ct := c.Encrypt(nil, 0)
 	if len(ct) != Overhead {
 		t.Fatalf("empty plaintext ciphertext is %d bytes, want %d", len(ct), Overhead)
 	}
-	got, err := c.Decrypt(ct)
+	got, err := c.Decrypt(ct, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +161,7 @@ func TestEncryptZeroLengthPlaintext(t *testing.T) {
 	}
 }
 
-// ivCounting wraps a deterministic IV stream and counts bytes drawn.
+// ivCounting wraps a deterministic nonce stream and counts bytes drawn.
 type ivCounting struct {
 	s uint64
 	n int
@@ -157,9 +177,9 @@ func (r *ivCounting) Read(p []byte) (int, error) {
 }
 
 func TestSetIVReaderHonored(t *testing.T) {
-	// Two ciphers under the same key and the same seeded IV stream must
+	// Two ciphers under the same key and the same seeded nonce stream must
 	// produce bit-identical ciphertexts — the property the seeded transcript
-	// freezes build on — and each sealed record must draw exactly ivSize
+	// freezes build on — and each sealed record must draw exactly nonceSize
 	// bytes, in record order, batch or not.
 	mk := func() (*Cipher, *ivCounting) {
 		c := NewCipher(KeyFromSeed(23))
@@ -170,69 +190,95 @@ func TestSetIVReaderHonored(t *testing.T) {
 	c1, r1 := mk()
 	c2, _ := mk()
 	pt := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef") // 4 records of 16
+	addrs := []int{40, 41, 2, 3}
 	var seq []byte
 	for k := 0; k < 4; k++ {
-		seq = c1.EncryptInto(seq, pt[k*16:(k+1)*16])
+		seq = c1.EncryptInto(seq, pt[k*16:(k+1)*16], addrs[k])
 	}
-	if r1.n != 4*ivSize {
-		t.Fatalf("4 sealed records drew %d IV bytes, want %d", r1.n, 4*ivSize)
+	if r1.n != 4*nonceSize {
+		t.Fatalf("4 sealed records drew %d nonce bytes, want %d", r1.n, 4*nonceSize)
 	}
-	batch := c2.SealBatch(nil, pt, 4, 16)
+	batch := c2.SealBatch(nil, pt, 4, 16, addrs...)
 	if !bytes.Equal(seq, batch) {
-		t.Fatal("SealBatch under an IV override is not byte-identical to sequential EncryptInto")
+		t.Fatal("SealBatch under a nonce override is not byte-identical to sequential EncryptInto")
 	}
 }
 
-func TestCounterIVUniqueness(t *testing.T) {
-	// Structural uniqueness over 2^20 encrypts: the IV is prefix ‖ counter
-	// and the counter must advance by exactly the keystream blocks each
-	// message consumes, so no two messages ever share a keystream block.
-	c := NewCipher(KeyFromSeed(24))
-	pt := make([]byte, 16) // one keystream block per message
-	var prefix uint64
-	next := uint64(0)
-	buf := make([]byte, 0, CiphertextSize(len(pt)))
-	for i := 0; i < 1<<20; i++ {
-		buf = c.EncryptInto(buf[:0], pt)
-		p := binary.BigEndian.Uint64(buf[:8])
-		ctr := binary.BigEndian.Uint64(buf[8:16])
-		if i == 0 {
-			prefix = p
-		} else if p != prefix {
-			t.Fatalf("IV prefix changed mid-stream at encrypt %d", i)
-		}
-		if ctr != next {
-			t.Fatalf("encrypt %d: counter %d, want %d (stride must equal blocks consumed)", i, ctr, next)
-		}
-		next++
-	}
+// nonceAt returns the (high 32, low 64) halves of a ciphertext's nonce.
+func nonceAt(ct []byte) (uint32, uint64) {
+	return binary.BigEndian.Uint32(ct[:4]), binary.BigEndian.Uint64(ct[4:nonceSize])
+}
 
-	// Varied sizes: the counter must stride by ⌈n/16⌉ (min 1) so longer
-	// messages claim their whole keystream range.
-	for _, n := range []int{0, 1, 15, 16, 17, 64, 200, 1000} {
-		buf = c.EncryptInto(buf[:0], make([]byte, n))
-		ctr := binary.BigEndian.Uint64(buf[8:16])
-		if ctr != next {
-			t.Fatalf("size %d: counter %d, want %d", n, ctr, next)
+func TestCounterIVUniqueness(t *testing.T) {
+	// Structural uniqueness over 2^20 seals: the nonce is start + ctr and
+	// the counter advances by exactly one per seal, whatever the size, so
+	// one instance's 2^20 nonces are consecutive 96-bit values and
+	// therefore pairwise distinct.
+	c := NewCipher(KeyFromSeed(24))
+	hi, lo := nonceAt(c.Encrypt(nil, 0))
+	buf := make([]byte, 0, CiphertextSize(1000))
+	sizes := []int{0, 1, 15, 16, 17, 64, 200, 1000}
+	for i := 1; i < 1<<20; i++ {
+		if lo++; lo == 0 {
+			hi++
 		}
-		nb := uint64((n + 15) / 16)
-		if nb == 0 {
-			nb = 1
+		buf = c.EncryptInto(buf[:0], make([]byte, sizes[i%len(sizes)]), i)
+		if gotHi, gotLo := nonceAt(buf); gotHi != hi || gotLo != lo {
+			t.Fatalf("seal %d: nonce (%#x, %#x), want (%#x, %#x)", i, gotHi, gotLo, hi, lo)
 		}
-		next += nb
+	}
+}
+
+func TestNonceCarryAcrossLow64(t *testing.T) {
+	// R + ctr is a 96-bit sum: the low 64 bits carry into the high 32, and
+	// the high 32 wrap mod 2³².
+	for _, tc := range []struct {
+		hi   uint32
+		want [][2]uint64 // (hi, lo) of seals 0, 1, 2
+	}{
+		{7, [][2]uint64{{7, ^uint64(0) - 1}, {7, ^uint64(0)}, {8, 0}}},
+		{^uint32(0), [][2]uint64{{uint64(^uint32(0)), ^uint64(0) - 1}, {uint64(^uint32(0)), ^uint64(0)}, {0, 0}}},
+	} {
+		c := NewCipher(KeyFromSeed(31))
+		c.startHi, c.startLo = tc.hi, ^uint64(0)-1
+		for k, w := range tc.want {
+			hi, lo := nonceAt(c.Encrypt([]byte("x"), k))
+			if uint64(hi) != w[0] || lo != w[1] {
+				t.Fatalf("start hi %#x, seal %d: nonce (%#x, %#x), want (%#x, %#x)", tc.hi, k, hi, lo, w[0], w[1])
+			}
+		}
+	}
+}
+
+func TestNonceRangesCollideOnlyWhereBoundSays(t *testing.T) {
+	// Two instances under one key whose starts sit L apart: their nonce
+	// ranges are disjoint for the first L seals of the lower one and meet
+	// exactly at its seal L — the overlap event DESIGN.md bounds by
+	// q²·L/2⁹⁶ for random starts.
+	const L = 1000
+	a, b := NewCipher(KeyFromSeed(32)), NewCipher(KeyFromSeed(32))
+	a.startHi, a.startLo = 3, ^uint64(0)-L/2+1 // the range also crosses the carry
+	b.startHi, b.startLo = 4, L/2
+	first := b.Encrypt(nil, 0)[:nonceSize]
+	for k := 0; k < L; k++ {
+		if bytes.Equal(a.Encrypt(nil, 0)[:nonceSize], first) {
+			t.Fatalf("instance a reused b's first nonce at seal %d, before L = %d", k, L)
+		}
+	}
+	if !bytes.Equal(a.Encrypt(nil, 0)[:nonceSize], first) {
+		t.Fatalf("instance a's seal %d does not meet b's start", L)
 	}
 }
 
 func TestIVPrefixRedrawnAcrossInstances(t *testing.T) {
-	// Resume and key rotation rebuild the Cipher via NewCipher; the prefix
-	// must be redrawn so restarted counter streams don't collide.
-	ivOf := func(c *Cipher) uint64 {
-		return binary.BigEndian.Uint64(c.Encrypt(nil)[:8])
-	}
+	// Resume and key rotation rebuild the Cipher via NewCipher; the random
+	// nonce start must be redrawn so restarted counter streams don't
+	// collide.
+	nonceOf := func(c *Cipher) []byte { return c.Encrypt(nil, 0)[:nonceSize] }
 	a := NewCipher(KeyFromSeed(25))
 	b := NewCipher(KeyFromSeed(25))
-	if ivOf(a) == ivOf(b) {
-		t.Fatal("two Cipher instances under one key share an IV prefix")
+	if bytes.Equal(nonceOf(a), nonceOf(b)) {
+		t.Fatal("two Cipher instances under one key share a nonce start")
 	}
 }
 
@@ -243,7 +289,11 @@ func TestSealBatchOpenBatchRoundTrip(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i * 31)
 	}
-	sealed := c.SealBatch(nil, src, count, rec)
+	addrs := make([]int, count)
+	for k := range addrs {
+		addrs[k] = 1000 + 3*k
+	}
+	sealed := c.SealBatch(nil, src, count, rec, addrs...)
 	ctSize := CiphertextSize(rec)
 	if len(sealed) != count*ctSize {
 		t.Fatalf("SealBatch output %d bytes, want %d", len(sealed), count*ctSize)
@@ -251,9 +301,9 @@ func TestSealBatchOpenBatchRoundTrip(t *testing.T) {
 	cts := make([][]byte, count)
 	for k := range cts {
 		cts[k] = sealed[k*ctSize : (k+1)*ctSize]
-		// Each record must also open individually — batch sealing is just
-		// N independent encryptions.
-		got, err := c.Decrypt(cts[k])
+		// Each record must also open individually at its own address —
+		// batch sealing is just N independent encryptions.
+		got, err := c.Decrypt(cts[k], addrs[k])
 		if err != nil {
 			t.Fatalf("record %d: %v", k, err)
 		}
@@ -261,12 +311,22 @@ func TestSealBatchOpenBatchRoundTrip(t *testing.T) {
 			t.Fatalf("record %d corrupted", k)
 		}
 	}
-	opened, err := c.OpenBatch(nil, cts)
+	opened, err := c.OpenBatch(nil, cts, addrs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(opened, src) {
 		t.Fatal("OpenBatch output differs from the sealed plaintexts")
+	}
+	// Without addresses a batch binds record k to k, symmetrically.
+	plain := c.SealBatch(nil, src, count, rec)
+	if _, err := c.Decrypt(plain[ctSize:2*ctSize], 1); err != nil {
+		t.Fatalf("address-free batch record 1 does not open at 1: %v", err)
+	}
+	// Swapping two records' addresses must fail at the lower index.
+	addrs[4], addrs[9] = addrs[9], addrs[4]
+	if _, err := c.OpenBatch(nil, cts, addrs...); !errors.Is(err, ErrAuth) || !strings.Contains(err.Error(), "record 4") {
+		t.Fatalf("misrouted batch: got %v, want ErrAuth at record 4", err)
 	}
 }
 
@@ -300,7 +360,7 @@ func TestOpenBatchErrors(t *testing.T) {
 	}
 
 	tampered := cts()
-	tampered[5][ivSize] ^= 1
+	tampered[5][nonceSize] ^= 1
 	dst := []byte("keep")
 	out, err := c.OpenBatch(dst, tampered)
 	if !errors.Is(err, ErrAuth) || !strings.Contains(err.Error(), "record 5") {
@@ -311,15 +371,14 @@ func TestOpenBatchErrors(t *testing.T) {
 	}
 }
 
-func TestBatchKernelsParallelPath(t *testing.T) {
-	// This host may be single-core, where batches always run inline; force
-	// GOMAXPROCS up so the worker fan-out actually executes, and check both
-	// correctness and the lowest-index error contract under it.
+func TestOpenBatchLowestFailingIndex(t *testing.T) {
+	// A path-sized batch at GOMAXPROCS > 1 still runs inline: it must
+	// round-trip, and with two bad records it must name the lower one.
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
 	c := NewCipher(KeyFromSeed(28))
-	const count, rec = 256, 48 // well above batchCutover
+	const count, rec = 256, 48
 	src := make([]byte, count*rec)
 	for i := range src {
 		src[i] = byte(i)
@@ -335,29 +394,34 @@ func TestBatchKernelsParallelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(opened, src) {
-		t.Fatal("parallel SealBatch/OpenBatch round trip corrupted data")
+		t.Fatal("SealBatch/OpenBatch round trip corrupted data")
 	}
 
-	// Tamper with two records in different worker chunks; the reported
-	// error must name the lowest index regardless of completion order.
 	bad := make([][]byte, count)
 	for k := range bad {
 		bad[k] = append([]byte(nil), cts[k]...)
 	}
-	bad[40][ivSize] ^= 1
-	bad[200][ivSize] ^= 1
+	bad[40][nonceSize] ^= 1
+	bad[200][nonceSize] ^= 1
 	if _, err := c.OpenBatch(nil, bad); err == nil || !strings.Contains(err.Error(), "record 40") {
-		t.Fatalf("parallel OpenBatch error: got %v, want lowest-index record 40", err)
+		t.Fatalf("OpenBatch error: got %v, want lowest-index record 40", err)
 	}
 }
 
 func TestSealBatchPanicsOnShapeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCipher(KeyFromSeed(29)).SealBatch(nil, make([]byte, 33), 2, 16)
+	for name, seal := range map[string]func(c *Cipher){
+		"bytes":     func(c *Cipher) { c.SealBatch(nil, make([]byte, 33), 2, 16) },
+		"addresses": func(c *Cipher) { c.SealBatch(nil, make([]byte, 32), 2, 16, 5) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s mismatch: expected panic", name)
+				}
+			}()
+			seal(NewCipher(KeyFromSeed(29)))
+		}()
+	}
 }
 
 func TestKeyFromSeedDeterministic(t *testing.T) {
@@ -471,7 +535,7 @@ func TestPRFEvalModPanicsOnZero(t *testing.T) {
 }
 
 func TestConcurrentCipherUse(t *testing.T) {
-	// The pooled MAC states must make one Cipher safe for concurrent
+	// The pooled address scratch must make one Cipher safe for concurrent
 	// sealing and opening (the proxy shares scheme ciphers across its
 	// pipeline; run under -race in CI).
 	c := NewCipher(KeyFromSeed(30))
@@ -481,8 +545,8 @@ func TestConcurrentCipherUse(t *testing.T) {
 			pt := bytes.Repeat([]byte{byte(g)}, 64)
 			var buf []byte
 			for i := 0; i < 200; i++ {
-				buf = c.EncryptInto(buf[:0], pt)
-				got, err := c.Decrypt(buf)
+				buf = c.EncryptInto(buf[:0], pt, g*1000+i)
+				got, err := c.Decrypt(buf, g*1000+i)
 				if err != nil {
 					done <- err
 					return

@@ -54,10 +54,11 @@ func runE14(cfg Config) ([]*Table, error) {
 	schemes := []costmodel.SchemeCost{
 		{Name: "plaintext", BlocksMoved: 1, RoundTrips: 1, ServerBlocksTouched: 1, BlockBytes: bs},
 		{Name: "DP-IR (ε=ln n, α=0.1)", BlocksMoved: 1, RoundTrips: 1, ServerBlocksTouched: 1, BlockBytes: bs},
-		{Name: "DP-RAM", BlocksMoved: 3, RoundTrips: 1, ServerBlocksTouched: 3, BlockBytes: bs + 48},
-		{Name: "DP-KVS", BlocksMoved: float64(12 * depth), RoundTrips: 4, ServerBlocksTouched: float64(12 * depth), BlockBytes: 4*(2+32+bs) + 48},
-		{Name: "Path ORAM", BlocksMoved: 2 * 4 * (lgn + 1), RoundTrips: 1, ServerBlocksTouched: 2 * 4 * (lgn + 1), BlockBytes: bs + 60},
-		{Name: "Path ORAM (recursive)", BlocksMoved: 4 * 4 * (lgn + 1), RoundTrips: lgn, ServerBlocksTouched: 4 * 4 * (lgn + 1), BlockBytes: bs + 60},
+		{Name: "DP-RAM", BlocksMoved: 3, RoundTrips: 1, ServerBlocksTouched: 3, BlockBytes: crypto.CiphertextSize(bs)},
+		{Name: "DP-KVS", BlocksMoved: float64(12 * depth), RoundTrips: 4, ServerBlocksTouched: float64(12 * depth), BlockBytes: crypto.CiphertextSize(4 * (2 + 32 + bs))},
+		// A Path ORAM slot carries a 12-byte (id ‖ position) header.
+		{Name: "Path ORAM", BlocksMoved: 2 * 4 * (lgn + 1), RoundTrips: 1, ServerBlocksTouched: 2 * 4 * (lgn + 1), BlockBytes: crypto.CiphertextSize(12 + bs)},
+		{Name: "Path ORAM (recursive)", BlocksMoved: 4 * 4 * (lgn + 1), RoundTrips: lgn, ServerBlocksTouched: 4 * 4 * (lgn + 1), BlockBytes: crypto.CiphertextSize(12 + bs)},
 		{Name: "trivial PIR", BlocksMoved: float64(n), RoundTrips: 1, ServerBlocksTouched: float64(n), BlockBytes: bs},
 		{Name: "2-server XOR PIR", BlocksMoved: 1, RoundTrips: 1, ServerBlocksTouched: float64(n) / 2, BlockBytes: bs},
 	}

@@ -20,22 +20,22 @@ import (
 // This is the CAOS answer to the proxy's honest limit: one scheme is one
 // logical party, so a single tenant's accesses can never overlap each
 // other through one instance. With P instances they overlap whenever they
-// hit different partitions — which, for the data-independent routing rule
-// above, is a function of the logical addresses alone, never of the data
-// or of which session asked.
+// hit different partitions — a function of the logical addresses alone,
+// never of the data or of which session asked.
 //
 // Leakage: the composed physical trace is exactly the interleaving of P
 // per-partition traces, so the adversary learns (1) each partition's
 // trace — oblivious by the per-scheme guarantee, since each instance runs
 // the unmodified construction over its own window — and (2) which
-// partition each request routed to, i.e. u mod P. That partition index is
-// the same function of the logical address that store.Sharded's shard
-// index is of the physical address (DESIGN.md §Sharding): data-
-// independent, collision-blind (no same-address dedup happens in any
-// partition's scheduler), and identical for any two workloads whose
-// routing sequences agree. The partitioned obliviousness tests pin
-// exactly this: same routing sequence ⇒ bit-identical per-partition
-// traces, hot-spot or uniform.
+// partition each request routed to, i.e. u mod P. Unlike store.Sharded's
+// shard index, which is a function of a PHYSICAL address the scheme has
+// already randomized, this is a function of the LOGICAL address the
+// client queried: for P > 1 it discloses log₂ P bits of every queried
+// address, and two query sequences that differ in one address's residue
+// mod P are told apart with certainty (ε = ∞). Theorem 6.1 therefore holds
+// only between query sequences with equal routing. The partitioned
+// obliviousness tests pin exactly that weaker claim: same routing
+// sequence ⇒ bit-identical per-partition traces, hot-spot or uniform.
 //
 // What must NOT be shared is everything the schemes' privacy proofs treat
 // as per-party secret state: stashes, position maps, keys, coin streams.
@@ -44,10 +44,11 @@ import (
 // partitions' decoy draws, letting an adversary who sees the composed
 // trace separate coin-driven from query-driven accesses across
 // partitions. The same goes for cipher state: each partition owns its own
-// crypto.Cipher, so each draws an independent random IV prefix and counts
-// its nonce counter alone — sharing one cipher would serialize every
-// partition's sealing on a single atomic counter, and sharing a prefix
-// without sharing the counter would reuse CTR nonces across partitions.
+// crypto.Cipher, so each draws an independent random 96-bit nonce start
+// and advances its nonce counter alone — sharing one cipher would
+// serialize every partition's sealing on a single atomic counter, and
+// sharing a start without sharing the counter would reuse GCM nonces
+// across partitions.
 // NewPartitioned therefore takes fully constructed, fully independent
 // Proxy instances and only routes between them.
 type Partitioned struct {

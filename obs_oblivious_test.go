@@ -32,6 +32,7 @@ package dpstore
 import (
 	"io"
 	"net"
+	"sync"
 	"testing"
 
 	"dpstore/internal/baseline/pathoram"
@@ -52,9 +53,42 @@ const (
 	obsQueries = 40
 )
 
+// trackedListener counts the server side of every accepted connection
+// until the serve loop closes it. The serve loop records a request's
+// admission metrics after writing its response, so a client can read its
+// last answer before the server has counted that request; waiting for the
+// server to close the connection after the client hangs up closes that
+// window.
+type trackedListener struct {
+	net.Listener
+	open sync.WaitGroup
+}
+
+func (l *trackedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.open.Add(1)
+	return &trackedConn{Conn: c, done: l.open.Done}, nil
+}
+
+type trackedConn struct {
+	net.Conn
+	once sync.Once
+	done func()
+}
+
+func (c *trackedConn) Close() error {
+	c.once.Do(c.done)
+	return c.Conn.Close()
+}
+
 // servedProxy builds the named scheme over a (optionally trace-recorded)
 // in-memory store, wraps it in a proxy with the write-behind pipeline —
-// the full production stack — and serves it on a loopback listener.
+// the full production stack — and serves it on a loopback listener. shut
+// expects every client to have closed its connection: it waits for the
+// serve loop to finish each one, then tears the proxy down.
 func servedProxy(t *testing.T, kind string, seed int64, record bool) (addr string, rec *trace.Recorder, shut func()) {
 	t.Helper()
 	db, err := block.PatternDatabase(obsN, obsRS)
@@ -95,12 +129,14 @@ func servedProxy(t *testing.T, kind string, seed int64, record bool) (addr strin
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &trackedListener{Listener: tcp}
 	go proxy.Serve(ln, p) //nolint:errcheck // torn down by shut
 	return ln.Addr().String(), rec, func() {
+		ln.open.Wait()
 		ln.Close() //nolint:errcheck
 		if err := p.Close(); err != nil {
 			t.Errorf("closing proxy: %v", err)
