@@ -3,7 +3,6 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -65,10 +64,20 @@ type Pipeline struct {
 	// must not hold the lock the writer's flush needs to drain it.)
 	sendMu sync.Mutex
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  map[int]pendingBlock // addr → freshest not-yet-landed write
-	seq      uint64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending map[int]pendingBlock // addr → freshest not-yet-landed write
+	seq     uint64
+	// log[logHead:] holds (seq, addr) of every write not yet landed, in
+	// seq order, beside some superseded by a later write to the same
+	// address. The writer lands jobs strictly in seq order, so the
+	// not-yet-landed writes are a suffix of it and flush and discard only
+	// ever trim a prefix. PendingSnapshot walks it instead of ranging over
+	// p.pending: ranging over a Go map costs what the map once held (a
+	// setup upload through the pipeline leaves 2^16 slots behind), not
+	// what it holds.
+	log      []logEntry
+	logHead  int
 	inFlight int // enqueued-but-not-flushed ops
 	sticky   error
 	closed   bool
@@ -88,6 +97,12 @@ type Pipeline struct {
 type pendingBlock struct {
 	seq  uint64
 	data block.Block
+}
+
+// logEntry is one write in the pipeline's sequence-ordered log.
+type logEntry struct {
+	seq  uint64
+	addr int
 }
 
 // job is one enqueued WriteBatch, with per-op sequence numbers.
@@ -162,27 +177,46 @@ func (p *Pipeline) Release(upTo uint64) {
 // address, in sequence order — replaying them in that order reproduces
 // the same final store state as the full write history) together with the
 // highest sequence number assigned so far, which is what the caller hands
-// to Release once the snapshot is durable.
+// to Release once the snapshot is durable. It costs O(writes in flight).
 func (p *Pipeline) PendingSnapshot() ([]store.WriteOp, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	type entry struct {
-		seq  uint64
-		addr int
-	}
-	entries := make([]entry, 0, len(p.pending))
-	for addr, pb := range p.pending {
-		entries = append(entries, entry{seq: pb.seq, addr: addr})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	ops := make([]store.WriteOp, len(entries))
-	for i, e := range entries {
-		// The block is owned by the pipeline and never mutated after entry
-		// (flushes only delete map entries), so aliasing is safe for the
-		// synchronous encode that follows.
-		ops[i] = store.WriteOp{Addr: e.addr, Block: p.pending[e.addr].data}
+	ops := make([]store.WriteOp, 0, len(p.log)-p.logHead)
+	for _, e := range p.log[p.logHead:] {
+		// An entry is kept only when it is still its address's freshest
+		// pending write. The block is owned by the pipeline and never
+		// mutated after entry (flushes only delete map entries), so
+		// aliasing is safe for the synchronous encode that follows.
+		if pb, ok := p.pending[e.addr]; ok && pb.seq == e.seq {
+			ops = append(ops, store.WriteOp{Addr: e.addr, Block: pb.data})
+		}
 	}
 	return ops, p.seq
+}
+
+// trimLog drops the log's landed prefix: every leading entry that is no
+// longer its address's freshest pending write. A failed flush leaves its
+// entries pending, so trimming stops there rather than at a seq bound.
+// Callers hold p.mu.
+func (p *Pipeline) trimLog() {
+	h := p.logHead
+	for h < len(p.log) {
+		if pb, ok := p.pending[p.log[h].addr]; ok && pb.seq == p.log[h].seq {
+			break
+		}
+		h++
+	}
+	switch {
+	case h == len(p.log):
+		p.log, p.logHead = p.log[:0], 0
+	case 2*h >= len(p.log):
+		// Reuse the landed half instead of letting appends regrow the
+		// slice past it; the copy is paid for by the h entries trimmed.
+		n := copy(p.log, p.log[h:])
+		p.log, p.logHead = p.log[:n], 0
+	default:
+		p.logHead = h
+	}
 }
 
 // poison marks the pipeline dead with err (first error wins) and wakes
@@ -267,6 +301,7 @@ func (p *Pipeline) discard(ops []store.WriteOp, seqs []uint64) {
 			delete(p.pending, op.Addr)
 		}
 	}
+	p.trimLog()
 	p.inFlight -= len(ops)
 	p.mu.Unlock()
 	p.cond.Broadcast()
@@ -303,6 +338,7 @@ func (p *Pipeline) flush(ops []store.WriteOp, seqs []uint64) {
 				delete(p.pending, op.Addr)
 			}
 		}
+		p.trimLog()
 	}
 	p.inFlight -= len(ops)
 	p.cond.Broadcast()
@@ -319,13 +355,10 @@ func (p *Pipeline) ReadBatch(addrs []int) ([]block.Block, error) {
 		p.mu.Unlock()
 		return nil, err
 	}
-	var overlay map[int]block.Block
-	for _, a := range addrs {
+	var overlay []overlayBlock
+	for i, a := range addrs {
 		if pb, ok := p.pending[a]; ok {
-			if overlay == nil {
-				overlay = make(map[int]block.Block)
-			}
-			overlay[a] = pb.data
+			overlay = append(overlay, overlayBlock{i: i, data: pb.data})
 		}
 	}
 	p.mu.Unlock()
@@ -337,12 +370,16 @@ func (p *Pipeline) ReadBatch(addrs []int) ([]block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range addrs {
-		if b, ok := overlay[a]; ok {
-			blocks[i] = b.Copy()
-		}
+	for _, o := range overlay {
+		blocks[o.i] = o.data.Copy()
 	}
 	return blocks, nil
+}
+
+// overlayBlock is the pending data a ReadBatch returns at result index i.
+type overlayBlock struct {
+	i    int
+	data block.Block
 }
 
 // WriteBatch implements store.BatchServer: record the ops as pending and
@@ -378,6 +415,7 @@ func (p *Pipeline) WriteBatch(ops []store.WriteOp) error {
 		cp[i] = store.WriteOp{Addr: op.Addr, Block: block.Block(buf[start:len(buf):len(buf)])}
 		seqs[i] = p.seq
 		p.pending[op.Addr] = pendingBlock{seq: p.seq, data: cp[i].Block}
+		p.log = append(p.log, logEntry{seq: p.seq, addr: op.Addr})
 	}
 	p.inFlight += len(ops)
 	p.mu.Unlock()

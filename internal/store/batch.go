@@ -183,9 +183,11 @@ type BatchWriter struct {
 	ops []WriteOp
 }
 
-// NewBatchWriter returns a writer buffering onto s.
+// NewBatchWriter returns a writer buffering onto s. Its window is never
+// larger than the store: a setup uploads each slot once, so a small store
+// never fills a ScanWindow.
 func NewBatchWriter(s BatchServer) *BatchWriter {
-	return &BatchWriter{s: s, ops: make([]WriteOp, 0, ScanWindow)}
+	return &BatchWriter{s: s, ops: make([]WriteOp, 0, min(ScanWindow, s.Size()))}
 }
 
 // Add buffers one op, flushing if the window is full.

@@ -67,8 +67,8 @@ type Durable struct {
 	pages *os.File
 	wal   *os.File
 
-	// pageMu serializes page I/O (reads, applies, compaction) exactly like
-	// File's mutex; the WAL append path has its own serialization through
+	// pageMu serializes page reads and applies exactly like File's mutex
+	// (compaction's page fsync runs outside it; see compact); the WAL append path has its own serialization through
 	// the committer goroutine. It also guards the batch-path scratch below:
 	// the vectored-I/O state, the per-run buffer list, and the CRC staging
 	// buffer that rides interleaved with page payloads (a page on disk is
@@ -784,11 +784,14 @@ func (d *Durable) committer() {
 // that silently lost their protection. Callers must guarantee no group is
 // mid-apply: the committer calls it after drainApplier, the open path
 // before the pipeline starts, Close after it has exited.
+//
+// The page fsync runs without pageMu. The applier is the only page writer,
+// and every caller has it drained or stopped, so nothing can write a page
+// during the fsync; only ReadBatch can run beside it, and a read neither
+// needs nor disturbs the pages' durability. Holding pageMu here made every
+// read that arrived during a compaction wait out the page fsync.
 func (d *Durable) compact() error {
-	d.pageMu.Lock()
-	err := d.pages.Sync()
-	d.pageMu.Unlock()
-	if err != nil {
+	if err := d.pages.Sync(); err != nil {
 		return fmt.Errorf("store: syncing pages: %w", err)
 	}
 	if err := d.wal.Truncate(walHdrSize); err != nil {
