@@ -72,6 +72,39 @@ func BenchmarkReadNoEncryption(b *testing.B) {
 	}
 }
 
+// BenchmarkMarshalStateUnchanged is the checkpoint of a client whose
+// stash the last access left alone — 1 − 2p of all accesses — at the
+// served benchmark's shape (n = 2^16, C = 64, 1 KiB records). CI gates it
+// at 0 allocs/op: the cached encoding is returned, never rebuilt.
+func BenchmarkMarshalStateUnchanged(b *testing.B) {
+	b.ReportAllocs()
+	const n, rec = 1 << 16, 1 << 10
+	opts := Options{Rand: rng.New(1), Key: crypto.KeyFromSeed(1), StashParam: 64}
+	db, err := block.PatternDatabase(n, rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := store.NewMem(n, ServerBlockSize(rec, opts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := Setup(db, srv, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	first, err := c.MarshalState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		state, err := c.MarshalState()
+		if err != nil || len(state) != len(first) {
+			b.Fatalf("MarshalState: %d B (want %d), %v", len(state), len(first), err)
+		}
+	}
+}
+
 func BenchmarkBucketAccess(b *testing.B) {
 	b.ReportAllocs()
 	const plain = 16

@@ -109,6 +109,13 @@ type Client struct {
 	sealBuf []byte // ciphertext staging: the overwrite upload
 
 	maxStash int
+
+	// state is the slice the last MarshalState returned while the stash
+	// and maxStash have not changed since; nil once either has. Every
+	// stash mutation goes through stashPut/stashDrop (or RestoreState),
+	// which drop it, and a rebuild always allocates a new slice, so a
+	// slice once returned is never written again.
+	state []byte
 }
 
 // ServerBlockSize returns the server slot size a DP-RAM over records of
@@ -252,6 +259,19 @@ func (c *Client) trackStash() {
 	}
 }
 
+// stashPut makes b record i's stash entry and drops the cached state.
+func (c *Client) stashPut(i int, b block.Block) {
+	c.stash[i] = b
+	c.state = nil
+	c.trackStash()
+}
+
+// stashDrop removes record i's stash entry and drops the cached state.
+func (c *Client) stashDrop(i int) {
+	delete(c.stash, i)
+	c.state = nil
+}
+
 // SetIVReader replaces the cipher's IV source so seeded tests can pin the
 // exact upload bytes; see crypto.Cipher.SetIVReader. No-op in the plaintext
 // modes. Only tests should call it.
@@ -368,11 +388,10 @@ func (c *Client) Access(q workload.Query) (block.Block, error) {
 		// stash law stays Bernoulli(p), preserving the download-phase
 		// distribution across queries.
 		if hit {
-			delete(c.stash, i)
+			c.stashDrop(i)
 		}
 		if c.src.Intn(c.n) < c.c {
-			c.stash[i] = cur
-			c.trackStash()
+			c.stashPut(i, cur)
 		}
 		return prev, nil
 	}
@@ -392,8 +411,7 @@ func (c *Client) Access(q workload.Query) (block.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.stash[i] = cur
-		c.trackStash()
+		c.stashPut(i, cur)
 		c.opBuf[0] = store.WriteOp{Addr: d2, Block: fresh}
 	} else {
 		// Write the record home; the second downloaded block was the
@@ -411,7 +429,7 @@ func (c *Client) Access(q workload.Query) (block.Block, error) {
 	if !toStash && hit {
 		// The record is now safely home on the server; release the stash
 		// entry only after the write landed.
-		delete(c.stash, i)
+		c.stashDrop(i)
 	}
 	return prev, nil
 }

@@ -61,15 +61,24 @@ type Journal struct {
 	limit int64
 	size  int64
 	epoch uint64
-	base  []byte // state of the newest durable record: what the next delta is against
 	buf   []byte // frame scratch, reused across appends
 	err   error  // first append failure; sticky
+
+	// base is the state of the newest durable record — the caller's
+	// Checkpoint.State itself, which is never written again — and
+	// baseCRC its checksum: what the next delta is against.
+	base    []byte
+	baseCRC uint32
 }
 
 // Checkpoint is one recoverable proxy state: everything needed to resume
 // serving over a crash-recovered physical store.
 type Checkpoint struct {
-	// State is the scheme's MarshalState snapshot.
+	// State is the scheme's MarshalState snapshot. Neither the journal
+	// nor the caller writes it once it is handed over (the journal keeps
+	// it as the next delta's base), and a State that is the very slice of
+	// the last durable checkpoint means the state has not changed: Append
+	// then writes an empty delta without reading it.
 	State []byte
 	// Pending holds the acked-but-unflushed physical writes at snapshot
 	// time, freshest per address in sequence order. Recovery replays them
@@ -137,17 +146,25 @@ func commonSuffix(a, b []byte) int {
 //	pendingCount u32 ‖ blockSize u32 ‖ count × (addr u64 ‖ block)
 //
 // The record's state is base[:prefixLen] ‖ middle ‖ base[len-suffixLen:]
-// and stateCRC is its checksum. A nil base yields a full record.
-func appendRecord(dst, base []byte, ck Checkpoint) ([]byte, error) {
+// and stateCRC is its checksum, which appendRecord also returns. A nil
+// base yields a full record. A state that is base's own slice (same first
+// element and length) is unchanged by the State contract: its empty delta
+// is written from the lengths and baseCRC alone — the bytes a scan of an
+// equal copy would produce — without reading either.
+func appendRecord(dst, base []byte, baseCRC uint32, ck Checkpoint) ([]byte, uint32, error) {
 	blockSize := 0
 	if len(ck.Pending) > 0 {
 		blockSize = len(ck.Pending[0].Block)
 		if blockSize == 0 {
-			return nil, fmt.Errorf("%w: zero-sized pending block", ErrJournal)
+			return nil, 0, fmt.Errorf("%w: zero-sized pending block", ErrJournal)
 		}
 	}
-	prefix := commonPrefix(base, ck.State)
-	suffix := commonSuffix(base[prefix:], ck.State[prefix:])
+	prefix, suffix, sum := len(base), 0, baseCRC
+	if len(base) == 0 || len(base) != len(ck.State) || &base[0] != &ck.State[0] {
+		prefix = commonPrefix(base, ck.State)
+		suffix = commonSuffix(base[prefix:], ck.State[prefix:])
+		sum = crc32.Checksum(ck.State, journalCRC)
+	}
 	middle := ck.State[prefix : len(ck.State)-suffix]
 
 	start := len(dst)
@@ -156,19 +173,19 @@ func appendRecord(dst, base []byte, ck Checkpoint) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(suffix))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(middle)))
 	dst = append(dst, middle...)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(ck.State, journalCRC))
+	dst = binary.BigEndian.AppendUint32(dst, sum)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ck.Pending)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(blockSize))
 	for _, op := range ck.Pending {
 		if len(op.Block) != blockSize {
-			return nil, fmt.Errorf("%w: ragged pending block (%d B, want %d)", ErrJournal, len(op.Block), blockSize)
+			return nil, 0, fmt.Errorf("%w: ragged pending block (%d B, want %d)", ErrJournal, len(op.Block), blockSize)
 		}
 		dst = binary.BigEndian.AppendUint64(dst, uint64(op.Addr))
 		dst = append(dst, op.Block...)
 	}
 	payload := dst[start+4:]
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)+4))
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, journalCRC)), nil
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, journalCRC)), sum, nil
 }
 
 // applyRecord parses one CRC-valid record payload and applies its delta to
@@ -312,9 +329,10 @@ func scanJournal(data []byte) (epoch uint64, last *Checkpoint, err error) {
 // the log outgrows its limit. Caller holds j.mu or has exclusive access.
 func (j *Journal) rewrite(ck *Checkpoint) error {
 	buf := appendJournalHeader(j.buf[:0], j.epoch)
+	var sum uint32
 	if ck != nil {
 		var err error
-		if buf, err = appendRecord(buf, nil, *ck); err != nil {
+		if buf, sum, err = appendRecord(buf, nil, 0, *ck); err != nil {
 			return err
 		}
 	}
@@ -332,7 +350,7 @@ func (j *Journal) rewrite(ck *Checkpoint) error {
 	j.f = f
 	j.size = int64(len(buf))
 	if ck != nil {
-		j.base = append(j.base[:0], ck.State...)
+		j.base, j.baseCRC = ck.State, sum
 	}
 	return nil
 }
@@ -344,9 +362,10 @@ func (j *Journal) Epoch() uint64 { return j.epoch }
 func (j *Journal) Path() string { return j.path }
 
 // Append makes ck durable: encoded as a delta against the last durable
-// state, CRC-framed, appended, fdatasynced. When the log would outgrow its
-// limit the append becomes a compacting rewrite instead (same durability,
-// one atomic rename, a full record). Append returns only once the
+// state, CRC-framed, appended, fdatasynced; ck.State then becomes that
+// base, kept without a copy (see Checkpoint.State). When the log would
+// outgrow its limit the append becomes a compacting rewrite instead (same
+// durability, one atomic rename, a full record). Append returns only once the
 // checkpoint is on stable storage — the caller may then release held
 // writes and acknowledge clients. After one failed Append every later one
 // returns that first error.
@@ -359,7 +378,7 @@ func (j *Journal) Append(ck Checkpoint) error {
 	if j.f == nil {
 		return fmt.Errorf("%w: journal closed", ErrJournal)
 	}
-	rec, err := appendRecord(j.buf[:0], j.base, ck)
+	rec, sum, err := appendRecord(j.buf[:0], j.base, j.baseCRC, ck)
 	if err != nil {
 		return err // nothing written: the journal stands
 	}
@@ -377,7 +396,7 @@ func (j *Journal) Append(ck Checkpoint) error {
 		return j.err
 	}
 	j.size += int64(len(rec))
-	j.base = append(j.base[:0], ck.State...)
+	j.base, j.baseCRC = ck.State, sum
 	return nil
 }
 

@@ -555,6 +555,86 @@ func TestJournalCompactionMidChain(t *testing.T) {
 	sameCheckpoint(t, "after compactions", ck, want)
 }
 
+// TestJournalUnchangedStateByIdentity: handing Append the very slice of
+// the last durable state — what dpram.Client's MarshalState returns while
+// its stash is unchanged — writes the same file, byte for byte, as handing
+// it an equal copy, through unchanged, changed and compacting appends; an
+// unchanged append is an empty delta; and both files recover the last
+// checkpoint.
+func TestJournalUnchangedStateByIdentity(t *testing.T) {
+	const limit = 8 << 10
+	dir := t.TempDir()
+	same, _, err := OpenJournal(filepath.Join(dir, "same"), limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { same.Close() }()
+	copied, _, err := OpenJournal(filepath.Join(dir, "copied"), limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { copied.Close() }()
+	m := newModelState(21)
+	for i := 0; i < 32; i++ {
+		m.mutate()
+	}
+	coins := rand.New(rand.NewSource(22))
+	state := m.marshal()
+	var want Checkpoint
+	unchanged, compactions := 0, 0
+	for i := 1; i <= 600; i++ {
+		kept := i > 1 && coins.Intn(4) != 0
+		if kept {
+			unchanged++
+		} else {
+			m.mutate()
+			state = m.marshal()
+		}
+		want = Checkpoint{State: state, Pending: pendingOf(i)}
+		before := same.Size()
+		if err := same.Append(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := copied.Append(Checkpoint{State: bytes.Clone(state), Pending: pendingOf(i)}); err != nil {
+			t.Fatal(err)
+		}
+		a, err := os.ReadFile(same.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(copied.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("append %d (state unchanged: %v): the files differ (%d B and %d B)", i, kept, len(a), len(b))
+		}
+		if same.Size() <= before {
+			compactions++
+			continue
+		}
+		if recs := journalRecords(t, a); kept {
+			if r := recs[len(recs)-1]; r.prefix != len(state) || r.suffix != 0 || r.middle != 0 {
+				t.Fatalf("append %d of an unchanged state: prefix %d suffix %d middle %d, want an empty delta of %d bytes", i, r.prefix, r.suffix, r.middle, len(state))
+			}
+		}
+	}
+	if unchanged < 300 || compactions < 3 {
+		t.Fatalf("%d unchanged appends and %d compactions in 600: the sequence misses a case", unchanged, compactions)
+	}
+	for _, j := range []**Journal{&same, &copied} {
+		path := (*j).Path()
+		if err := (*j).Close(); err != nil {
+			t.Fatal(err)
+		}
+		var ck *Checkpoint
+		if *j, ck, err = OpenJournal(path, limit); err != nil {
+			t.Fatal(err)
+		}
+		sameCheckpoint(t, filepath.Base(path), ck, want)
+	}
+}
+
 // TestJournalFullRecordFallback: a state that shares neither end with its
 // predecessor is written whole.
 func TestJournalFullRecordFallback(t *testing.T) {

@@ -56,7 +56,10 @@ var ErrClosed = errors.New("proxy: closed")
 type DurableScheme interface {
 	Scheme
 	// MarshalState serializes the scheme's private client state (stash,
-	// position map, keys) at an access boundary.
+	// position map, keys) at an access boundary. The returned bytes are
+	// never modified afterwards, by the scheme or by the caller; returning
+	// the same slice again means the state has not changed (see
+	// Checkpoint.State). A fresh slice per call always satisfies this.
 	MarshalState() ([]byte, error)
 }
 
