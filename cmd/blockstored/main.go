@@ -1030,9 +1030,9 @@ func openProxy(mode, file, dataDir, replicate string, quorum int, readPolicy str
 		parts[i] = p
 	}
 
-	// Export each partition's scheduler gauges (queue depth, stash depth)
-	// keyed by the public partition index — the same index the adversary
-	// reads off the physical trace, so the series adds no leakage.
+	// Export each partition's scheduler queue depth gauge, keyed by the
+	// public partition index — the same index the adversary reads off the
+	// physical trace, so the series adds no leakage.
 	for i, p := range parts {
 		p.RegisterObs(i)
 	}

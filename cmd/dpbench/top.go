@@ -9,8 +9,8 @@
 // Each refresh renders one row per namespace: accepted/shed totals, the
 // acceptance rate since the previous refresh, live inflight/queue gauges,
 // service-time p50/p99 and max (whole-microsecond quantiles from the v2
-// extension; dashes against a v1 daemon), the backing depth gauge (proxy
-// stash occupancy or resync backlog), and the WAL's EWMA fsync latency.
+// extension; dashes against a v1 daemon), the backing depth gauge (a
+// replicated cluster's resync backlog), and the WAL's EWMA fsync latency.
 // Everything shown is a data-independent aggregate — the same rule the
 // daemon's /metrics endpoint obeys — so leaving top running against a
 // production daemon observes load, never access patterns.

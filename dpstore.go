@@ -290,8 +290,9 @@ func IsBusy(err error) (retryAfter time.Duration, ok bool) { return wire.IsBusy(
 
 // NamespaceStats is one namespace's live counters from a daemon's stats
 // frame or /metrics endpoint: accepted/shed totals, inflight and queued
-// gauges against their limits, backing depth (proxy stash size or replica
-// resync backlog), and WAL sync latency.
+// gauges against their limits, backing depth (a replicated cluster's
+// resync backlog; 0 for other backings — a proxy's stash size is never
+// exported), and WAL sync latency.
 type NamespaceStats = wire.StatsEntry
 
 // LatencyHist is an HDR-style log-linear latency histogram: fixed-size,

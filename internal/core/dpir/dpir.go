@@ -10,8 +10,10 @@
 //	K = ⌈(1−α)·n / (e^ε − 1)⌉
 //
 // the scheme is ε'-DP-IR for e^ε' = 1 + (1−α)·n/(α·K) (Theorem 5.1,
-// Appendix B), matching the lower bound of Theorem 3.4 for every ε ≥ 0. At
-// ε = Θ(log n), K is O(1): constant-overhead private retrieval.
+// Appendix B), so e^ε' − 1 ≈ (e^ε − 1)/α: the ε' achieved is not the ε
+// that sized K. At ε', K is ≈ 1/α times the floor (n−1)(1−α)/e^ε' of
+// Theorem 3.4 — optimal up to that constant factor, not equal to the
+// floor. At ε = Θ(log n), K is O(1): constant-overhead private retrieval.
 //
 // The package also provides the errorless variant (a full scan, which
 // Theorem 3.3 proves optimal) and the multi-server uniform-decoy scheme
@@ -37,7 +39,10 @@ var ErrBottom = errors.New("dpir: query errored (⊥ branch of Algorithm 1)")
 
 // Options configures a DP-IR client.
 type Options struct {
-	// Epsilon is the requested privacy budget ε ≥ 0 used to size K.
+	// Epsilon is the requested privacy budget ε ≥ 0. It sizes K by
+	// Algorithm 1's formula K = ⌈(1−α)·n/(e^ε − 1)⌉; the ε the client
+	// actually gets is ε' = privacy.DPIRAchievedEps(n, K, α), with
+	// e^ε' − 1 ≈ (e^ε − 1)/α.
 	Epsilon float64
 	// Alpha is the error probability α ∈ (0, 1]. Algorithm 1 requires
 	// α > 0; see NewErrorless for the α = 0 case.

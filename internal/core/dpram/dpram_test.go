@@ -1,6 +1,8 @@
 package dpram
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -222,6 +224,41 @@ func TestWriteSizeValidation(t *testing.T) {
 	}
 }
 
+// TestAccessRejectsWrongSizeWrite: a write query whose data is not one
+// record long is refused before any coin is drawn or any address is
+// touched — block.ErrSize, an empty transcript, the state bytes as they
+// were — so the state stays resumable. p = 1 keeps every record stashed,
+// where an accepted short write would sit in the stash.
+func TestAccessRejectsWrongSizeWrite(t *testing.T) {
+	const n = 8
+	opts := func() Options { return Options{Rand: rng.New(17), Key: crypto.KeyFromSeed(17), StashParam: n} }
+	c, counting := setup(t, n, opts())
+	twin, _ := setup(t, n, opts())
+	before, err := c.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{0, 3, 15, 17} {
+		_, err := c.Access(workload.Query{Index: 0, Op: workload.Write, Data: make(block.Block, size)})
+		if !errors.Is(err, block.ErrSize) {
+			t.Fatalf("write of %d bytes: err = %v, want block.ErrSize", size, err)
+		}
+	}
+	if st := counting.Stats(); st.Ops() != 0 {
+		t.Fatalf("rejected writes reached the server: %+v", st)
+	}
+	if got, want := c.src.Int63(), twin.src.Int63(); got != want {
+		t.Fatal("rejected writes drew coins")
+	}
+	after, _ := c.MarshalState()
+	if !bytes.Equal(before, after) || !bytes.Equal(before, c.encodeState()) {
+		t.Fatal("rejected writes changed the client state")
+	}
+	if _, err := Resume(counting, after, opts()); err != nil {
+		t.Fatalf("resume after rejected writes: %v", err)
+	}
+}
+
 func TestDeterministicKeyReproducible(t *testing.T) {
 	// Same seed + same key ⇒ identical server contents and behavior.
 	mk := func() *Client {
@@ -292,7 +329,7 @@ func TestEmpiricalEpsilonSmallN(t *testing.T) {
 	pe := analysis.SamplePair(sample(src.Split(), seqA), sample(src.Split(), seqB), 150000)
 
 	epsHat := pe.MaxRatioEps(30)
-	bound := (&Client{n: n, c: phi}).EpsUpperBound()
+	bound := (&Client{core{units: n, c: phi}}).EpsUpperBound()
 	if epsHat <= 0 {
 		t.Fatal("ε̂ = 0: adjacent sequences indistinguishable — suspicious for finite n")
 	}

@@ -1,6 +1,7 @@
 package dpram
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestFaultedOverwritePreservesStash(t *testing.T) {
 	// Plant a stash entry by hand: its value differs from the (stale)
 	// server ciphertext, so only the stash can serve it.
 	want := block.Pattern(31337, 16)
-	c.stash[0] = want.Copy()
+	c.claim(0, []block.Block{want})
 	if _, err := c.Read(0); !errors.Is(err, store.ErrInjected) {
 		t.Fatalf("faulted overwrite: err = %v, want ErrInjected", err)
 	}
@@ -156,7 +157,7 @@ func TestBucketRAMFaultedOverwritePreservesStash(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []block.Block{block.Pattern(71, plain), block.Pattern(72, plain)}
-	r.putInStash(0, want) // plant: bucket 0's current contents live client-side only
+	r.claim(0, want) // plant: bucket 0's current contents live client-side only
 	if _, err := r.Access(0, nil); !errors.Is(err, store.ErrInjected) {
 		t.Fatalf("faulted bucket overwrite: err = %v, want ErrInjected", err)
 	}
@@ -168,6 +169,63 @@ func TestBucketRAMFaultedOverwritePreservesStash(t *testing.T) {
 		if !got[k].Equal(want[k]) {
 			t.Fatalf("node %d stale after retried access: failed overwrite dropped the stash claims", k)
 		}
+	}
+}
+
+// TestBucketRAMFailedHomeWriteLeavesStateUnchanged: an update to a
+// stashed bucket whose upload fails must leave the client exactly as it
+// was — the update reaches neither the bucket's own stashed copy nor the
+// overlapping stashed bucket's, and every claim stays. The seeds cover
+// both overwrite branches; the write home is the one that takes the
+// bucket out of the stash once it lands.
+func TestBucketRAMFailedHomeWriteLeavesStateUnchanged(t *testing.T) {
+	const plain = 16
+	buckets := overlappingBuckets()
+	homes := 0
+	for seed := int64(1); seed <= 16; seed++ {
+		srv, err := store.NewMem(6, crypto.CiphertextSize(plain))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Setup = 6 uploads; access = 2s reads then s uploads (s = 3).
+		// Fault the first upload of the first access.
+		faulty := store.NewFaulty(srv, 6+6+1, nil)
+		r, err := NewBucketRAM(faulty, buckets, nil, plain, BucketOptions{
+			Rand: rng.New(seed), Key: crypto.KeyFromSeed(4), StashParam: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Plant buckets 0 and 1, which share nodes 4 and 5: their
+		// current contents live client-side only.
+		r.claim(0, []block.Block{block.Pattern(70, plain), block.Pattern(71, plain), block.Pattern(72, plain)})
+		r.claim(1, []block.Block{block.Pattern(80, plain), block.Pattern(71, plain), block.Pattern(72, plain)})
+		before, err := r.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Algorithm 3's coins for a stash hit: the decoy, then the stash coin.
+		coins := rng.New(seed)
+		coins.Intn(len(buckets))
+		home := coins.Intn(len(buckets)) >= 1
+		_, err = r.Access(0, func(nodes []block.Block) {
+			for k := range nodes {
+				copy(nodes[k], block.Pattern(uint64(90+k), plain))
+			}
+		})
+		if !errors.Is(err, store.ErrInjected) {
+			t.Fatalf("seed %d: faulted upload: err = %v, want ErrInjected", seed, err)
+		}
+		after, _ := r.MarshalState()
+		if !bytes.Equal(before, after) || !bytes.Equal(before, r.encodeState()) {
+			t.Fatalf("seed %d (home branch %v): a failed upload changed the client state", seed, home)
+		}
+		if home {
+			homes++
+		}
+	}
+	if homes == 0 {
+		t.Fatal("no seed drew the write-home branch")
 	}
 }
 

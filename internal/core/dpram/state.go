@@ -22,7 +22,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"dpstore/internal/block"
 	"dpstore/internal/crypto"
@@ -47,9 +48,12 @@ const (
 )
 
 // MarshalState serializes the client's private state: shape parameters,
-// master key, stash contents, and the stash high-water mark. The bytes are
-// sensitive (they contain the key and plaintext records) and belong on the
-// trusted side only — the proxy's journal, never the block server.
+// master key, the stash (for a BucketRAM: the stashed buckets, then the
+// dirty map with its reference counts), and the stash high-water mark. The
+// bytes are sensitive (they contain the key and plaintext records) and
+// belong on the trusted side only — the proxy's journal, never the block
+// server. The repertoire of a BucketRAM is configuration, not state —
+// ResumeBucketRAM takes it as an argument, exactly like NewBucketRAM.
 //
 // The returned slice is never written again, by the client or (by
 // contract) by the caller. While the state is unchanged, MarshalState
@@ -57,26 +61,31 @@ const (
 // the stash on ≈ 2p of accesses, so a checkpoint after most accesses
 // costs nothing here, and proxy.Journal recognises the slice without
 // reading it.
-func (c *Client) MarshalState() ([]byte, error) {
+func (c *core) MarshalState() ([]byte, error) {
 	if c.state == nil {
 		c.state = c.encodeState()
 	}
 	return c.state, nil
 }
 
-// encodeState builds a fresh encoding of the client's private state.
-func (c *Client) encodeState() []byte {
-	idxs := make([]int, 0, len(c.stash))
-	for i := range c.stash {
-		idxs = append(idxs, i)
+// encodeState builds a fresh encoding of the client's private state:
+// DPRAMST1 under the identity repertoire, BKRAMST1 over buckets.
+func (c *core) encodeState() []byte {
+	bucket := c.buckets != nil
+	addrs := slices.Sorted(maps.Keys(c.dirty))
+	out := make([]byte, 0, 64+len(c.stashed)*8+len(addrs)*(8+4+c.plainSize))
+	if bucket {
+		out = append(out, bucketStateMagic[:]...)
+		out = binary.BigEndian.AppendUint64(out, uint64(c.units))
+		out = binary.BigEndian.AppendUint32(out, uint32(c.size))
+		out = binary.BigEndian.AppendUint32(out, uint32(c.c))
+		out = binary.BigEndian.AppendUint32(out, uint32(c.plainSize))
+	} else {
+		out = append(out, clientStateMagic[:]...)
+		out = binary.BigEndian.AppendUint64(out, uint64(c.units))
+		out = binary.BigEndian.AppendUint32(out, uint32(c.plainSize))
+		out = binary.BigEndian.AppendUint32(out, uint32(c.c))
 	}
-	sort.Ints(idxs)
-	size := 8 + 8 + 4 + 4 + 1 + 4 + crypto.KeySize + 4 + len(idxs)*(8+c.plainSize)
-	out := make([]byte, 0, size)
-	out = append(out, clientStateMagic[:]...)
-	out = binary.BigEndian.AppendUint64(out, uint64(c.n))
-	out = binary.BigEndian.AppendUint32(out, uint32(c.plainSize))
-	out = binary.BigEndian.AppendUint32(out, uint32(c.c))
 	var flags byte
 	if c.retrievalOnly {
 		flags |= stFlagRetrievalOnly
@@ -85,58 +94,77 @@ func (c *Client) encodeState() []byte {
 		flags |= stFlagPlaintext
 	}
 	out = append(out, flags)
-	out = binary.BigEndian.AppendUint32(out, uint32(c.maxStash))
+	out = binary.BigEndian.AppendUint32(out, uint32(c.maxDirty))
 	out = append(out, c.key[:]...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(idxs)))
-	for _, i := range idxs {
-		out = binary.BigEndian.AppendUint64(out, uint64(i))
-		out = append(out, c.stash[i]...)
+	if bucket {
+		stashed := slices.Sorted(maps.Keys(c.stashed))
+		out = binary.BigEndian.AppendUint32(out, uint32(len(stashed)))
+		for _, u := range stashed {
+			out = binary.BigEndian.AppendUint64(out, uint64(u))
+		}
+	}
+	out = binary.BigEndian.AppendUint32(out, uint32(len(addrs)))
+	for _, a := range addrs {
+		out = binary.BigEndian.AppendUint64(out, uint64(a))
+		if bucket {
+			out = binary.BigEndian.AppendUint32(out, uint32(c.refcnt[a]))
+		}
+		out = append(out, c.dirty[a]...)
 	}
 	return out
 }
 
-// clientState is the decoded form of MarshalState's output.
-type clientState struct {
-	n, plainSize, c int
-	retrievalOnly   bool
-	plaintext       bool
-	maxStash        int
-	key             crypto.Key
-	stash           map[int]block.Block
-}
-
-func decodeClientState(data []byte) (*clientState, error) {
+// decodeState parses a BKRAMST1 (bucket) or DPRAMST1 state into the
+// core fields it carries, checking what the bytes alone can show; install
+// checks them against a client. A DPRAMST1 stash entry for record i is
+// unit i holding address i.
+func decodeState(data []byte, bucket bool) (*core, error) {
 	r := statecodec.NewReader(data)
-	if !r.Magic(clientStateMagic) {
+	magic := clientStateMagic
+	if bucket {
+		magic = bucketStateMagic
+	}
+	if !r.Magic(magic) {
 		return nil, fmt.Errorf("%w: bad magic", ErrState)
 	}
-	st := &clientState{}
-	st.n = int(r.U64())
-	st.plainSize = int(r.U32())
-	st.c = int(r.U32())
+	st := &core{size: 1, stashed: map[int]bool{}, dirty: map[int]block.Block{}, refcnt: map[int]int{}}
+	st.units = int(r.U64())
+	if bucket {
+		st.size, st.c, st.plainSize = int(r.U32()), int(r.U32()), int(r.U32())
+	} else {
+		st.plainSize, st.c = int(r.U32()), int(r.U32())
+	}
 	flags := r.U8()
 	st.retrievalOnly = flags&stFlagRetrievalOnly != 0
 	st.plaintext = flags&stFlagPlaintext != 0
-	st.maxStash = int(r.U32())
+	st.maxDirty = int(r.U32())
 	copy(st.key[:], r.Bytes(crypto.KeySize))
+	if r.Err() == nil && (st.units < 2 || st.size <= 0 || st.plainSize <= 0) {
+		return nil, fmt.Errorf("%w: implausible shape units=%d s=%d recordSize=%d", ErrState, st.units, st.size, st.plainSize)
+	}
+	if bucket {
+		count := int(r.U32())
+		for j := 0; j < count && r.Err() == nil; j++ {
+			u := int(r.U64())
+			if r.Err() == nil && (u < 0 || u >= st.units) {
+				return nil, fmt.Errorf("%w: stashed bucket %d outside [0,%d)", ErrState, u, st.units)
+			}
+			st.stashed[u] = true
+		}
+	}
 	count := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if st.n < 2 || st.plainSize <= 0 || count < 0 || count > st.n {
-		return nil, fmt.Errorf("%w: implausible shape n=%d recordSize=%d stash=%d", ErrState, st.n, st.plainSize, count)
-	}
-	st.stash = make(map[int]block.Block, count)
-	for j := 0; j < count; j++ {
-		i := int(r.U64())
+	for j := 0; j < count && r.Err() == nil; j++ {
+		a, refs := int(r.U64()), 1
+		if bucket {
+			refs = int(r.U32())
+		} else {
+			st.stashed[a] = true
+		}
 		b := r.Bytes(st.plainSize)
-		if r.Err() != nil {
-			return nil, r.Err()
+		if r.Err() == nil && (a < 0 || refs <= 0) {
+			return nil, fmt.Errorf("%w: stash entry for address %d with %d references", ErrState, a, refs)
 		}
-		if i < 0 || i >= st.n {
-			return nil, fmt.Errorf("%w: stash index %d outside [0,%d)", ErrState, i, st.n)
-		}
-		st.stash[i] = block.Block(b).Copy()
+		st.dirty[a], st.refcnt[a] = block.Block(b).Copy(), refs
 	}
 	if err := r.Drained(); err != nil {
 		return nil, err
@@ -148,24 +176,31 @@ func decodeClientState(data []byte) (*clientState, error) {
 // produced by MarshalState on a client of the identical configuration. The
 // server must already hold the array the snapshot was taken against — this
 // is a state transplant, not a setup.
-func (c *Client) RestoreState(data []byte) error {
-	st, err := decodeClientState(data)
+func (c *core) RestoreState(data []byte) error {
+	st, err := decodeState(data, c.buckets != nil)
 	if err != nil {
 		return err
 	}
-	if st.n != c.n || st.plainSize != c.plainSize || st.c != c.c ||
+	return c.install(st)
+}
+
+// install checks decoded state against the client's shape and makes it
+// the client's state.
+func (c *core) install(st *core) error {
+	if st.units != c.units || st.size != c.size || st.c != c.c || st.plainSize != c.plainSize ||
 		st.retrievalOnly != c.retrievalOnly || st.plaintext != c.plaintext {
-		return fmt.Errorf("%w: snapshot shape (n=%d rec=%d C=%d ro=%v pt=%v) does not match client (n=%d rec=%d C=%d ro=%v pt=%v)",
-			ErrState, st.n, st.plainSize, st.c, st.retrievalOnly, st.plaintext,
-			c.n, c.plainSize, c.c, c.retrievalOnly, c.plaintext)
+		return fmt.Errorf("%w: snapshot shape (units=%d s=%d C=%d rec=%d ro=%v pt=%v) does not match client (units=%d s=%d C=%d rec=%d ro=%v pt=%v)",
+			ErrState, st.units, st.size, st.c, st.plainSize, st.retrievalOnly, st.plaintext,
+			c.units, c.size, c.c, c.plainSize, c.retrievalOnly, c.plaintext)
 	}
-	c.stash = st.stash
-	c.maxStash = st.maxStash
+	for a := range st.dirty {
+		if a >= c.server.Size() {
+			return fmt.Errorf("%w: stash entry for address %d outside [0,%d)", ErrState, a, c.server.Size())
+		}
+	}
+	c.stashed, c.dirty, c.refcnt, c.maxDirty = st.stashed, st.dirty, st.refcnt, st.maxDirty
 	c.state = nil
-	c.key = st.key
-	if !c.plaintext {
-		c.cipher = crypto.NewCipher(st.key)
-	}
+	c.setKey(st.key)
 	return nil
 }
 
@@ -175,154 +210,25 @@ func (c *Client) RestoreState(data []byte) error {
 // coin source (required) and mode flags, which must match the snapshot;
 // Options.Key and StashParam are taken from the snapshot.
 func Resume(server store.Server, state []byte, opts Options) (*Client, error) {
-	if opts.Rand == nil {
-		return nil, errors.New("dpram: Options.Rand is required")
-	}
-	st, err := decodeClientState(state)
+	st, err := decodeState(state, false)
 	if err != nil {
 		return nil, err
 	}
-	if opts.RetrievalOnly != st.retrievalOnly {
-		return nil, fmt.Errorf("%w: snapshot retrieval-only=%v, options say %v", ErrState, st.retrievalOnly, opts.RetrievalOnly)
+	if opts.RetrievalOnly != st.retrievalOnly || (opts.RetrievalOnly || opts.DisableEncryption) != st.plaintext {
+		return nil, fmt.Errorf("%w: snapshot mode (retrieval-only=%v plaintext=%v) does not match the options", ErrState, st.retrievalOnly, st.plaintext)
 	}
-	if plaintext := opts.RetrievalOnly || opts.DisableEncryption; plaintext != st.plaintext {
-		return nil, fmt.Errorf("%w: snapshot plaintext=%v, options say %v", ErrState, st.plaintext, plaintext)
+	if server.Size() != st.units {
+		return nil, fmt.Errorf("dpram: server size %d != snapshot size %d", server.Size(), st.units)
 	}
-	if server.Size() != st.n {
-		return nil, fmt.Errorf("dpram: server size %d != snapshot size %d", server.Size(), st.n)
+	opts.StashParam, opts.Key = st.c, st.key
+	cl := &Client{}
+	if err := cl.init(server, nil, st.units, st.plainSize, opts); err != nil {
+		return nil, err
 	}
-	wantBS := ServerBlockSize(st.plainSize, opts)
-	if server.BlockSize() != wantBS {
-		return nil, fmt.Errorf("dpram: server block size %d, want %d", server.BlockSize(), wantBS)
-	}
-	cl := &Client{
-		server:        store.AsBatch(server),
-		n:             st.n,
-		plainSize:     st.plainSize,
-		c:             st.c,
-		stash:         st.stash,
-		src:           opts.Rand,
-		retrievalOnly: st.retrievalOnly,
-		plaintext:     st.plaintext,
-		maxStash:      st.maxStash,
-		key:           st.key,
-	}
-	if !cl.plaintext {
-		cl.cipher = crypto.NewCipher(st.key)
+	if err := cl.install(st); err != nil {
+		return nil, err
 	}
 	return cl, nil
-}
-
-// --- BucketRAM ---------------------------------------------------------------
-
-// MarshalState serializes the BucketRAM client: stash membership, the
-// dirty map with its reference counts, key, and high-water mark. The
-// repertoire Σ itself is configuration, not state — ResumeBucketRAM takes
-// it as an argument, exactly like NewBucketRAM.
-func (r *BucketRAM) MarshalState() ([]byte, error) {
-	stashed := make([]int, 0, len(r.stashed))
-	for bi := range r.stashed {
-		stashed = append(stashed, bi)
-	}
-	sort.Ints(stashed)
-	addrs := make([]int, 0, len(r.dirty))
-	for a := range r.dirty {
-		addrs = append(addrs, a)
-	}
-	sort.Ints(addrs)
-
-	out := make([]byte, 0, 64+len(stashed)*8+len(addrs)*(8+4+r.plainSize))
-	out = append(out, bucketStateMagic[:]...)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(r.buckets)))
-	out = binary.BigEndian.AppendUint32(out, uint32(r.size))
-	out = binary.BigEndian.AppendUint32(out, uint32(r.c))
-	out = binary.BigEndian.AppendUint32(out, uint32(r.plainSize))
-	var flags byte
-	if r.plaintext {
-		flags |= stFlagPlaintext
-	}
-	out = append(out, flags)
-	out = binary.BigEndian.AppendUint32(out, uint32(r.maxDirty))
-	out = append(out, r.key[:]...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(stashed)))
-	for _, bi := range stashed {
-		out = binary.BigEndian.AppendUint64(out, uint64(bi))
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(addrs)))
-	for _, a := range addrs {
-		out = binary.BigEndian.AppendUint64(out, uint64(a))
-		out = binary.BigEndian.AppendUint32(out, uint32(r.refcnt[a]))
-		out = append(out, r.dirty[a]...)
-	}
-	return out, nil
-}
-
-// RestoreState replaces the client's private state with a MarshalState
-// snapshot from an identically configured BucketRAM.
-func (r *BucketRAM) RestoreState(data []byte) error {
-	rd := statecodec.NewReader(data)
-	if !rd.Magic(bucketStateMagic) {
-		return fmt.Errorf("%w: bad magic", ErrState)
-	}
-	b := int(rd.U64())
-	size := int(rd.U32())
-	c := int(rd.U32())
-	plainSize := int(rd.U32())
-	flags := rd.U8()
-	maxDirty := int(rd.U32())
-	var key crypto.Key
-	copy(key[:], rd.Bytes(crypto.KeySize))
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	if b != len(r.buckets) || size != r.size || c != r.c || plainSize != r.plainSize ||
-		(flags&stFlagPlaintext != 0) != r.plaintext {
-		return fmt.Errorf("%w: snapshot shape (b=%d s=%d C=%d rec=%d) does not match client (b=%d s=%d C=%d rec=%d)",
-			ErrState, b, size, c, plainSize, len(r.buckets), r.size, r.c, r.plainSize)
-	}
-	stashedCount := int(rd.U32())
-	if rd.Err() != nil || stashedCount < 0 || stashedCount > b {
-		return fmt.Errorf("%w: stashed bucket count %d", ErrState, stashedCount)
-	}
-	stashed := make(map[int]bool, stashedCount)
-	for j := 0; j < stashedCount; j++ {
-		bi := int(rd.U64())
-		if rd.Err() != nil || bi < 0 || bi >= b {
-			return fmt.Errorf("%w: stashed bucket %d", ErrState, bi)
-		}
-		stashed[bi] = true
-	}
-	dirtyCount := int(rd.U32())
-	if rd.Err() != nil || dirtyCount < 0 {
-		return fmt.Errorf("%w: dirty count %d", ErrState, dirtyCount)
-	}
-	dirty := make(map[int]block.Block, dirtyCount)
-	refcnt := make(map[int]int, dirtyCount)
-	for j := 0; j < dirtyCount; j++ {
-		a := int(rd.U64())
-		cnt := int(rd.U32())
-		data := rd.Bytes(plainSize)
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		if a < 0 || a >= r.server.Size() || cnt <= 0 {
-			return fmt.Errorf("%w: dirty entry addr=%d (server size %d) refcnt=%d", ErrState, a, r.server.Size(), cnt)
-		}
-		dirty[a] = block.Block(data).Copy()
-		refcnt[a] = cnt
-	}
-	if err := rd.Drained(); err != nil {
-		return err
-	}
-	r.stashed = stashed
-	r.dirty = dirty
-	r.refcnt = refcnt
-	r.maxDirty = maxDirty
-	r.key = key
-	if !r.plaintext {
-		r.cipher = crypto.NewCipher(key)
-	}
-	return nil
 }
 
 // ResumeBucketRAM rebuilds a BucketRAM from a MarshalState snapshot over a

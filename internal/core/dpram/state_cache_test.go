@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"testing"
 
 	"dpstore/internal/block"
@@ -82,9 +81,9 @@ func TestMarshalStateCacheMatchesEncoding(t *testing.T) {
 				case "open":
 					cl.server = swappedReads{mem}
 				}
-				_, hit := cl.stash[i]
+				hit := cl.stashed[i]
 				_, err := cl.Access(q)
-				_, stashedAfter := cl.stash[i]
+				stashedAfter := cl.stashed[i]
 				cl.server = mem
 
 				switch {
@@ -152,6 +151,67 @@ func TestMarshalStateCacheMatchesEncoding(t *testing.T) {
 	}
 }
 
+// TestBucketMarshalStateCacheMatchesEncoding is the same check for a
+// BucketRAM over overlapping buckets, where updates also write through to
+// the dirty copies of other stashed buckets.
+func TestBucketMarshalStateCacheMatchesEncoding(t *testing.T) {
+	const plain = 16
+	mem, err := store.NewMem(6, crypto.CiphertextSize(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := overlappingBuckets()
+	r, err := NewBucketRAM(mem, buckets, nil, plain, BucketOptions{Rand: rng.New(52), Key: crypto.KeyFromSeed(52), StashParam: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coins := rng.New(53)
+	faults := []string{"none", "read", "write", "open"}
+	var returned, copies [][]byte
+	snapshot := r.encodeState()
+	for k := 1; k <= 1000; k++ {
+		before, _ := r.MarshalState()
+		returned, copies = append(returned, before), append(copies, bytes.Clone(before))
+		var update func([]block.Block)
+		if coins.Intn(2) == 0 {
+			pat := block.Pattern(uint64(k), plain)
+			update = func(nodes []block.Block) { copy(nodes[k%len(nodes)], pat) }
+		}
+		fault := faults[coins.Intn(len(faults))]
+		switch fault {
+		case "read":
+			r.server = store.NewFaulty(mem, 1, nil)
+		case "write":
+			r.server = store.NewFaulty(mem, 7, nil) // after the 2s = 6 reads
+		case "open":
+			r.server = swappedReads{mem}
+		}
+		_, err := r.Access(coins.Intn(len(buckets)), update)
+		r.server = mem
+		if fault == "none" && err != nil {
+			t.Fatalf("access %d: %v", k, err)
+		}
+		if got, _ := r.MarshalState(); !bytes.Equal(got, r.encodeState()) {
+			t.Fatalf("access %d (fault %s): MarshalState is stale", k, fault)
+		}
+		if k%25 == 0 {
+			current := r.encodeState()
+			if err := r.RestoreState(snapshot); err != nil {
+				t.Fatal(err)
+			}
+			if restored, _ := r.MarshalState(); !bytes.Equal(restored, snapshot) {
+				t.Fatalf("access %d: MarshalState after RestoreState is not the restored snapshot", k)
+			}
+			snapshot = current // restored 25 accesses from now
+		}
+	}
+	for k, b := range returned {
+		if !bytes.Equal(b, copies[k]) {
+			t.Fatalf("the slice MarshalState returned before access %d was later modified", k+1)
+		}
+	}
+}
+
 // failAfterRead lets every ReadBatch reach the store and, while armed,
 // loses its reply — the server saw the addresses, the client gets an
 // error: a dropped connection, or a server choosing to fail the access.
@@ -204,8 +264,7 @@ func TestFailedAccessRetryRedrawsCoins(t *testing.T) {
 		if k%2 == 1 {
 			q = workload.Query{Index: i, Op: workload.Write, Data: block.Pattern(uint64(k), rec)}
 		}
-		_, stashed := cl.stash[i]
-		stash := cloneBlocks(cl.stash)
+		stashed := cl.stashed[i]
 		before, _ := cl.MarshalState()
 
 		srv.armed = true
@@ -217,7 +276,7 @@ func TestFailedAccessRetryRedrawsCoins(t *testing.T) {
 		if after, _ := cl.MarshalState(); &after[0] != &before[0] {
 			t.Fatalf("query %d: the failed attempt replaced the marshalled state", k)
 		}
-		if !maps.EqualFunc(stash, cl.stash, equalBlocks) {
+		if !bytes.Equal(cl.encodeState(), before) {
 			t.Fatalf("query %d: the failed attempt changed the stash", k)
 		}
 

@@ -1,8 +1,8 @@
 package dpram
 
 import (
+	"bytes"
 	"errors"
-	"maps"
 	"testing"
 
 	"dpstore/internal/block"
@@ -32,18 +32,6 @@ func swapSlots(t *testing.T, mem *store.Mem, a, b int) {
 	}
 }
 
-func equalBlocks(a, b block.Block) bool { return a.Equal(b) }
-
-// cloneBlocks deep-copies a client-side block map, so a later in-place
-// write to any block shows up as a difference.
-func cloneBlocks(m map[int]block.Block) map[int]block.Block {
-	out := make(map[int]block.Block, len(m))
-	for k, b := range m {
-		out[k] = b.Copy()
-	}
-	return out
-}
-
 // TestSwappedSlotsFailAuth: every record is sealed bound to its address,
 // so each place DP-RAM opens a downloaded block — the download phase's
 // A[i] and the stash branch's refresh of A[d2] — must reject a block that
@@ -70,16 +58,16 @@ func TestSwappedSlotsFailAuth(t *testing.T) {
 	t.Run("download", func(t *testing.T) {
 		c, mem := setup(t, 16, 4)
 		i := 0
-		for c.stash[i] != nil {
+		for c.stashed[i] {
 			i++ // an unstashed record is served from A[i]
 		}
-		j := (i + 1) % c.n
+		j := (i + 1) % c.N()
 		swapSlots(t, mem, i, j)
-		stash := cloneBlocks(c.stash)
+		before := c.encodeState()
 		if _, err := c.Read(i); !errors.Is(err, crypto.ErrAuth) {
 			t.Fatalf("read of a swapped slot: err = %v, want crypto.ErrAuth", err)
 		}
-		if !maps.EqualFunc(stash, c.stash, equalBlocks) {
+		if !bytes.Equal(before, c.encodeState()) {
 			t.Fatal("a failed open changed the stash")
 		}
 		swapSlots(t, mem, i, j)
@@ -100,12 +88,12 @@ func TestSwappedSlotsFailAuth(t *testing.T) {
 		// reach the stash.
 		c, mem := setup(t, 2, 2)
 		swapSlots(t, mem, 0, 1)
-		stash := cloneBlocks(c.stash)
+		before := c.encodeState()
 		want := block.Pattern(777, 16)
 		if _, err := c.Write(0, want); !errors.Is(err, crypto.ErrAuth) {
 			t.Fatalf("refresh of a swapped slot: err = %v, want crypto.ErrAuth", err)
 		}
-		if !maps.EqualFunc(stash, c.stash, equalBlocks) {
+		if !bytes.Equal(before, c.encodeState()) {
 			t.Fatal("a failed refresh changed the stash")
 		}
 		swapSlots(t, mem, 0, 1)
@@ -121,20 +109,9 @@ func TestSwappedSlotsFailAuth(t *testing.T) {
 // TestBucketRAMSwappedSlotsFailAuth is the same check at bucket
 // granularity: a swapped node fails to open in the download phase and in
 // the refresh, and neither failure changes the stash, the dirty map or its
-// reference counts.
+// reference counts — all three are in the encoded state.
 func TestBucketRAMSwappedSlotsFailAuth(t *testing.T) {
 	const plain = 16
-	type snapshot struct {
-		stashed map[int]bool
-		dirty   map[int]block.Block
-		refcnt  map[int]int
-	}
-	snap := func(r *BucketRAM) snapshot {
-		return snapshot{maps.Clone(r.stashed), cloneBlocks(r.dirty), maps.Clone(r.refcnt)}
-	}
-	same := func(a, b snapshot) bool {
-		return maps.Equal(a.stashed, b.stashed) && maps.EqualFunc(a.dirty, b.dirty, equalBlocks) && maps.Equal(a.refcnt, b.refcnt)
-	}
 	setup := func(t *testing.T, buckets [][]int, stashParam int) (*BucketRAM, *store.Mem) {
 		t.Helper()
 		mem, err := store.NewMem(6, crypto.CiphertextSize(plain))
@@ -159,11 +136,11 @@ func TestBucketRAMSwappedSlotsFailAuth(t *testing.T) {
 		// p = 0: nothing is stashed, so bucket 0 is decoded from the server.
 		r, mem := setup(t, overlappingBuckets(), 0)
 		swapSlots(t, mem, r.buckets[0][0], 1)
-		before := snap(r)
+		before := r.encodeState()
 		if _, err := r.Access(0, update); !errors.Is(err, crypto.ErrAuth) {
 			t.Fatalf("access over a swapped node: err = %v, want crypto.ErrAuth", err)
 		}
-		if !same(before, snap(r)) {
+		if !bytes.Equal(before, r.encodeState()) {
 			t.Fatal("a failed node open changed the stash or dirty map")
 		}
 		swapSlots(t, mem, r.buckets[0][0], 1)
@@ -181,11 +158,11 @@ func TestBucketRAMSwappedSlotsFailAuth(t *testing.T) {
 			t.Fatal(err)
 		}
 		swapSlots(t, mem, 0, 1)
-		before := snap(r)
+		before := r.encodeState()
 		if _, err := r.Access(1, update); !errors.Is(err, crypto.ErrAuth) {
 			t.Fatalf("refresh over swapped nodes: err = %v, want crypto.ErrAuth", err)
 		}
-		if !same(before, snap(r)) {
+		if !bytes.Equal(before, r.encodeState()) {
 			t.Fatal("a failed refresh changed the stash or dirty map")
 		}
 		swapSlots(t, mem, 0, 1)

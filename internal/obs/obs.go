@@ -66,8 +66,8 @@ const (
 	// fsync counts under coalescing). Only their existence and label set
 	// are asserted, never their values.
 	ClassTiming
-	// ClassLoad values are instantaneous occupancy (inflight, queue depth,
-	// stash depth) — scheduling-dependent. Existence-only, like timing.
+	// ClassLoad values are instantaneous occupancy (inflight, queue
+	// depth) — scheduling-dependent. Existence-only, like timing.
 	ClassLoad
 	// ClassRouting values are keyed by the public routing index (partition
 	// number, replica name) — information the server already holds by

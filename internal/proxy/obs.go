@@ -33,16 +33,16 @@ var (
 		obs.WithHelp("write-behind flush round trip to the backing store"))
 )
 
-// RegisterObs exports this proxy's occupancy gauges on the process
+// RegisterObs exports this proxy's queue-depth gauge on the process
 // registry, labeled by its public partition index (0 for an
-// unpartitioned proxy). Re-registering an index re-points the gauges at
-// the newest proxy — what a daemon restart or test rebuild wants.
+// unpartitioned proxy). Re-registering an index re-points the gauge at
+// the newest proxy — what a daemon restart or test rebuild wants. The
+// scheme's stash occupancy is deliberately not exported: it moves with
+// whether each access found its record stashed, so a live reading of it
+// follows the access pattern.
 func (p *Proxy) RegisterObs(partition int) {
 	lbl := strconv.Itoa(partition)
 	obs.NewGaugeFunc("dpstore_proxy_queue_depth",
 		func() int64 { return int64(p.QueueDepth()) },
-		obs.WithLabels("partition", lbl))
-	obs.NewGaugeFunc("dpstore_proxy_stash_depth",
-		func() int64 { return int64(p.StashDepth()) },
 		obs.WithLabels("partition", lbl))
 }

@@ -170,20 +170,6 @@ func (pt *Partitioned) Checkpoints() int64 {
 	return total
 }
 
-// StashDepth sums the partitions' stash occupancies — the total client
-// memory the striped deployment is holding.
-func (pt *Partitioned) StashDepth() int {
-	total := 0
-	for _, p := range pt.parts {
-		total += p.StashDepth()
-	}
-	return total
-}
-
-// LoadDepth implements the serve loop's depth gauge, mirroring
-// Proxy.LoadDepth: the summed stash occupancy.
-func (pt *Partitioned) LoadDepth() uint64 { return uint64(pt.StashDepth()) }
-
 // Epoch returns the deployment's recovery epoch: the maximum over the
 // partitions' journal epochs (they are bumped together at startup, so a
 // healthy deployment reports one value; 0 when no partition is durable).

@@ -125,16 +125,6 @@ type Proxy struct {
 
 	accesses    atomic.Int64
 	checkpoints atomic.Int64
-	stashDepth  atomic.Int64 // scheme stash occupancy after the last access
-}
-
-// stashReporter is the scheduler's view of a scheme that exposes its
-// stash occupancy (dpram.Client and pathoram.ORAM both do). The gauge is
-// operational only — it is read by the proxy operator's metrics endpoint,
-// never sent to the storage server, so exporting it does not widen the
-// leakage to the adversary the schemes defend against.
-type stashReporter interface {
-	StashSize() int
 }
 
 // New starts a proxy serving scheme. The scheme must not be used directly
@@ -213,7 +203,6 @@ func (p *Proxy) scheduler() {
 			b, err := p.scheme.Access(req.q)
 			p.accesses.Add(1)
 			obsAccesses.Inc()
-			p.updateStash()
 			req.resp <- result{b: b, err: err}
 			continue
 		}
@@ -271,17 +260,7 @@ func (r request) run(p *Proxy) (block.Block, error) {
 	b, err := p.scheme.Access(r.q)
 	p.accesses.Add(1)
 	obsAccesses.Inc()
-	p.updateStash()
 	return b, err
-}
-
-// updateStash refreshes the stash gauge from the scheme. Called only from
-// the scheduler goroutine, right after an access — the one point where
-// the scheme is quiescent and its stash well-defined.
-func (p *Proxy) updateStash() {
-	if sr, ok := p.scheme.(stashReporter); ok {
-		p.stashDepth.Store(int64(sr.StashSize()))
-	}
 }
 
 // checkpoint makes the current scheme state and all held writes durable,
@@ -382,20 +361,9 @@ func (p *Proxy) Partitions() int { return 1 }
 // Accesses returns the number of scheme accesses executed so far.
 func (p *Proxy) Accesses() int64 { return p.accesses.Load() }
 
-// StashDepth returns the scheme's stash occupancy as of the last access
-// (0 when the scheme exposes no stash). A stash that grows without bound
-// under load is the canonical ORAM failure mode; this gauge is how an
-// operator sees it coming.
-func (p *Proxy) StashDepth() int { return int(p.stashDepth.Load()) }
-
 // QueueDepth returns how many requests are waiting for the scheduler
 // right now.
 func (p *Proxy) QueueDepth() int { return len(p.reqs) }
-
-// LoadDepth implements the serve loop's depth gauge (store's
-// depthReporter): the stash occupancy, the proxy-backed namespace's most
-// load-relevant depth.
-func (p *Proxy) LoadDepth() uint64 { return uint64(p.StashDepth()) }
 
 // Flush waits until every write the scheme has issued so far has landed on
 // the backing store (a no-op without a Pipeline: writes were synchronous).

@@ -242,12 +242,6 @@ func (ns *Namespaces) limiterFor(name string) *limiter {
 	return l
 }
 
-// depthReporter lets a backing expose one load-relevant depth gauge: the
-// proxy's stash occupancy, a replicated cluster's resync backlog.
-type depthReporter interface {
-	LoadDepth() uint64
-}
-
 // syncLatencyReporter exposes a durable backing's observed WAL fsync
 // latency (EWMA). store.Durable and store.Sharded implement it.
 type syncLatencyReporter interface {
@@ -285,9 +279,6 @@ func (ns *Namespaces) Stats() []wire.StatsEntry {
 		switch {
 		case r.t.acc != nil:
 			e.Kind = wire.StatsKindProxy
-			if d, ok := r.t.acc.(depthReporter); ok {
-				e.Depth = d.LoadDepth()
-			}
 		case r.t.batch != nil:
 			e.Kind = wire.StatsKindBlock
 			if rep, ok := r.t.batch.(replicaStatusReporter); ok {
@@ -295,8 +286,6 @@ func (ns *Namespaces) Stats() []wire.StatsEntry {
 				for _, st := range rep.ReplicaStatus() {
 					e.Depth += uint64(st.Dirty)
 				}
-			} else if d, ok := r.t.batch.(depthReporter); ok {
-				e.Depth = d.LoadDepth()
 			}
 			if s, ok := r.t.batch.(syncLatencyReporter); ok {
 				e.SyncMicros = uint64(s.SyncLatency().Microseconds())

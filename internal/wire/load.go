@@ -136,9 +136,9 @@ type StatsEntry struct {
 	Limit    uint32 // admission concurrency limit (0 = unlimited)
 	QueueCap uint32 // admission queue capacity (0 = unlimited)
 
-	// Backing gauges. Depth is the proxy scheme's stash occupancy
-	// (StatsKindProxy), the cluster's total resync backlog
-	// (StatsKindReplicated), or 0. SyncMicros is the backing WAL engine's
+	// Backing gauges. Depth is the cluster's total resync backlog
+	// (StatsKindReplicated), else 0; a proxy's stash size is client
+	// state and is never sent. SyncMicros is the backing WAL engine's
 	// EWMA fsync latency in microseconds (0 for non-durable backings).
 	Depth      uint64
 	SyncMicros uint64

@@ -38,7 +38,7 @@
 // MsgBusyResp is the backpressure signal: the server shed the request
 // because the namespace's admission queue is full; retry after the hint.
 // MsgStatsReq/Resp expose the daemon's per-namespace operability metrics
-// (admission counters, queue depths, stash depth, WAL sync latency). Both
+// (admission counters, queue depths, resync backlog, WAL sync latency). Both
 // are specified in load.go.
 //
 // The batch frames carry the multi-block operations of store.BatchServer:
